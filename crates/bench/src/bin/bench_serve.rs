@@ -5,8 +5,9 @@
 //! cargo run --release -p pb-bench --bin bench_serve -- [flags] [output-path]
 //! ```
 //!
-//! Starts an in-process [`Server`], seeds its catalog from a known
-//! generator seed, and drives it over real TCP sockets in three phases:
+//! Starts an in-process [`Server`], seeds its catalog by `store`-ing a
+//! unit-valued ER matrix from a known generator seed, and drives it over
+//! real TCP sockets in three phases:
 //!
 //! 1. **Closed loop** — N clients issue back-to-back `multiply` requests,
 //!    each waiting for its response; per-request latency is recorded and
@@ -102,6 +103,24 @@ fn u(v: &Value, key: &str) -> u64 {
     v.get(key)
         .and_then(Value::as_u64)
         .unwrap_or_else(|| panic!("missing integer `{key}` in {v:?}"))
+}
+
+/// A `store` request carrying `m` under `name`.
+fn store_line(name: &str, m: &pb_sparse::Csr<f64>) -> String {
+    let entries: Vec<String> = (0..m.nrows())
+        .flat_map(|r| {
+            let (cols, vals) = m.row(r);
+            cols.iter()
+                .zip(vals)
+                .map(move |(c, v)| format!("[{r},{c},{v:?}]"))
+        })
+        .collect();
+    format!(
+        r#"{{"op":"store","name":"{name}","rows":{},"cols":{},"entries":[{}]}}"#,
+        m.nrows(),
+        m.ncols(),
+        entries.join(",")
+    )
 }
 
 /// Latency distribution over the closed-loop phase, in microseconds.
@@ -233,10 +252,12 @@ fn main() {
     };
     let burst_connections = if smoke { 12 } else { 24 };
 
-    // The oracle: reproduce the server's generator output locally and push
-    // it through the reference engine.  Every service response is then a
-    // fingerprint comparison away from a full correctness check.
-    let local = pb_gen::erdos_renyi_square(scale, edge_factor, seed);
+    // The oracle: the operand the catalog is seeded with, pushed through
+    // the reference engine.  Its values are all 1.0, so the product's
+    // entries are exact integers that every kernel sums to the same bits
+    // whatever its order; every service response is then a fingerprint
+    // comparison away from a full correctness check.
+    let local = pb_gen::erdos_renyi_square(scale, edge_factor, seed).map_values(|_| 1.0);
     let expected = pb_sparse::reference::multiply_csr(&local, &local);
     let oracle_print = fingerprint(&expected);
 
@@ -250,14 +271,12 @@ fn main() {
     let addr = server.addr();
 
     let mut admin = Client::connect(addr);
-    let r = admin.call(&format!(
-        r#"{{"op":"gen","name":"w","kind":"er","scale":{scale},"edge_factor":{edge_factor},"seed":{seed}}}"#
-    ));
+    let r = admin.call(&store_line("w", &local));
     assert!(ok(&r), "seeding the catalog failed: {r:?}");
     assert_eq!(
         u(&r, "fingerprint"),
         fingerprint(&local),
-        "server-side generator diverged from the local reproduction"
+        "the stored operand diverged from the local one"
     );
 
     // --- Phase 1: closed loop. -------------------------------------------

@@ -19,7 +19,7 @@ use rayon::prelude::*;
 
 use crate::bins::BinnedTuples;
 use crate::profile::StatsCollector;
-use crate::workspace::WorkspaceLease;
+use crate::workspace::{advise_capacity, WorkspaceLease};
 
 /// A shared mutable pointer used for the disjoint per-row writes described
 /// in the module docs.
@@ -103,6 +103,9 @@ fn assemble_core<V: Scalar>(
     // ----- Pass 2: scatter column indices and values. -----------------------
     let mut colidx: Vec<MaybeUninit<Index>> = Vec::with_capacity(nnz);
     let mut values: Vec<MaybeUninit<V>> = Vec::with_capacity(nnz);
+    // The scatter below is the arrays' first touch: ask for huge pages
+    // first (a no-op under the 8 MiB floor).
+    stats.record_huge_pages(advise_capacity(&colidx) + advise_capacity(&values));
     // SAFETY: MaybeUninit slots do not require initialisation.
     unsafe {
         colidx.set_len(nnz);

@@ -36,6 +36,20 @@
 //! downstream phases (and the assembled product) are bit-identical to the
 //! single-domain schedule.
 //!
+//! # Transparent huge pages on the tuple buffer
+//!
+//! The global tuple buffer is `flop` entries — hundreds of MB on the
+//! bandwidth-bound inputs — and the flushes are its first writes, so on
+//! 4 KiB pages the expand phase pays one page fault per 4 KiB and the
+//! caller pays a page-by-page `munmap` when a fresh buffer is freed.  A
+//! single-domain run therefore asks for transparent huge pages on it (see
+//! [`Workspace`](crate::Workspace)'s module docs).  **A multi-domain run
+//! does not**: its (bin, domain) sub-segments are about `L2 / domains`
+//! long, far below one 2 MiB page, so a huge page would hold several
+//! domains' sub-segments and be placed wherever its first flush ran —
+//! undoing the domain-local first touch described above.  The rule is
+//! `tuple_buffer_huge_pages`.
+//!
 //! # Software prefetch on the flush copy
 //!
 //! The flush `memcpy` is the dominant write stream of the whole algorithm,
@@ -90,6 +104,13 @@ pub fn expand<S: Semiring>(
         ExpandStrategy::Reserved => expand_reserved::<S>(a, b, sym, config, stats, lease),
         ExpandStrategy::ThreadLocal => expand_thread_local::<S>(a, b, sym, stats, lease),
     }
+}
+
+/// Whether the global tuple buffer of a multiply partitioned as `sym` asks
+/// for transparent huge pages: only when the bins are not split into
+/// per-domain sub-segments (see the module docs for why).
+pub(crate) fn tuple_buffer_huge_pages(sym: &Symbolic) -> bool {
+    sym.domains <= 1
 }
 
 /// Number of tuples a local bin of `local_bin_bytes` bytes holds, derived
@@ -350,7 +371,8 @@ fn expand_reserved<S: Semiring>(
     // The global tuple buffer, uninitialised: recycled workspace capacity
     // when the high-water mark covers `flop`, a counted fresh allocation
     // otherwise.
-    let mut raw: Vec<MaybeUninit<Entry<S::Elem>>> = lease.take_entries_uninit(flop, stats);
+    let mut raw: Vec<MaybeUninit<Entry<S::Elem>>> =
+        lease.take_entries_uninit(flop, tuple_buffer_huge_pages(sym), stats);
     // SAFETY: MaybeUninit contents never require initialisation; the length
     // only exposes uninitialised `MaybeUninit` slots, which is sound.
     unsafe { raw.set_len(flop) };
@@ -502,7 +524,8 @@ fn expand_thread_local<S: Semiring>(
     // transient — this strategy exists for differential testing, not for
     // speed), so the steady-state zero-allocation telemetry holds under
     // either strategy.
-    let mut entries: Vec<Entry<S::Elem>> = lease.take_entries_vec(sym.flop as usize, stats);
+    let mut entries: Vec<Entry<S::Elem>> =
+        lease.take_entries_vec(sym.flop as usize, tuple_buffer_huge_pages(sym), stats);
     let mut bin_offsets = lease.take_bin_offsets_empty(nbins + 1, stats);
     bin_offsets.push(0usize);
     let mut compressed_len = lease.take_compressed_len_empty(nbins, stats);

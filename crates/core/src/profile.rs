@@ -179,6 +179,15 @@ pub struct PhaseStats {
     /// capacity (up to 5 per multiply: tuple buffer, sort scratch, bin
     /// offsets, compressed lengths, row counts).  0 without a workspace.
     pub workspace_hits: u64,
+    /// Bytes of this multiply's freshly allocated large buffers (expand
+    /// tuple buffer, CSR output `colidx`/`values`) the
+    /// kernel accepted transparent-huge-page advice for — see
+    /// [`advise_huge_pages`](pb_sparse::mmapio::advise_huge_pages).  0 when
+    /// every buffer was under the 8 MiB floor, recycled from a workspace
+    /// (its advice was counted when it was allocated), on a multi-domain
+    /// tuple buffer, or on a host without THP support.  Like [`IsaDispatch`]
+    /// it proves what ran instead of trusting the build.
+    pub huge_page_bytes: u64,
     /// Bins the sort phase processed with in-bin parallelism.
     pub par_sorted_bins: usize,
     /// Bins the compress phase split at key boundaries for in-bin
@@ -243,6 +252,7 @@ impl Default for PhaseStats {
             bytes_allocated: 0,
             bytes_reused: 0,
             workspace_hits: 0,
+            huge_page_bytes: 0,
             par_sorted_bins: 0,
             split_bins: 0,
             split_chunks: 0,
@@ -352,6 +362,7 @@ pub struct StatsCollector {
     bytes_allocated: AtomicU64,
     bytes_reused: AtomicU64,
     workspace_hits: AtomicU64,
+    huge_page_bytes: AtomicU64,
     par_sorted_bins: AtomicUsize,
     split_bins: AtomicUsize,
     split_chunks: AtomicUsize,
@@ -393,6 +404,7 @@ impl StatsCollector {
             bytes_allocated: AtomicU64::new(0),
             bytes_reused: AtomicU64::new(0),
             workspace_hits: AtomicU64::new(0),
+            huge_page_bytes: AtomicU64::new(0),
             par_sorted_bins: AtomicUsize::new(0),
             split_bins: AtomicUsize::new(0),
             split_chunks: AtomicUsize::new(0),
@@ -515,6 +527,14 @@ impl StatsCollector {
         }
     }
 
+    /// Adds `bytes` a huge-page advice call reported as accepted.
+    pub fn record_huge_pages(&self, bytes: usize) {
+        if bytes > 0 {
+            self.huge_page_bytes
+                .fetch_add(bytes as u64, Ordering::Relaxed);
+        }
+    }
+
     /// Counts one bin sorted with in-bin parallelism.
     pub fn record_par_sorted_bin(&self) {
         self.par_sorted_bins.fetch_add(1, Ordering::Relaxed);
@@ -566,6 +586,7 @@ impl StatsCollector {
             bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
             bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
             workspace_hits: self.workspace_hits.load(Ordering::Relaxed),
+            huge_page_bytes: self.huge_page_bytes.load(Ordering::Relaxed),
             par_sorted_bins: self.par_sorted_bins.load(Ordering::Relaxed),
             split_bins: self.split_bins.load(Ordering::Relaxed),
             split_chunks: self.split_chunks.load(Ordering::Relaxed),
@@ -702,7 +723,8 @@ impl SpGemmProfile {
     pub fn summary(&self) -> String {
         format!(
             "flop={} nnz(C)={} cf={:.2} nbins={} keyB={} | total={:.3}ms ({:.0} MFLOPS) | \
-             expand {:.3}ms sort {:.3}ms compress {:.3}ms | bw e/s/c = {:.1}/{:.1}/{:.1} GB/s",
+             expand {:.3}ms sort {:.3}ms compress {:.3}ms | bw e/s/c = {:.1}/{:.1}/{:.1} GB/s | \
+             thp {:.1} MiB",
             self.flop,
             self.nnz_c,
             self.cf(),
@@ -716,6 +738,7 @@ impl SpGemmProfile {
             self.phase_bandwidth_gbps(Phase::Expand),
             self.phase_bandwidth_gbps(Phase::Sort),
             self.phase_bandwidth_gbps(Phase::Compress),
+            self.stats.huge_page_bytes as f64 / (1u64 << 20) as f64,
         )
     }
 }

@@ -720,6 +720,7 @@ where
                 report.stats.bytes_allocated += profile.stats.bytes_allocated;
                 report.stats.bytes_reused += profile.stats.bytes_reused;
                 report.stats.workspace_hits += profile.stats.workspace_hits;
+                report.stats.huge_page_bytes += profile.stats.huge_page_bytes;
                 report.stats.flushes += profile.stats.flushes;
                 report.stats.local_flushes += profile.stats.local_flushes;
                 report.stats.remote_flushes += profile.stats.remote_flushes;

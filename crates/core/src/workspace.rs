@@ -24,6 +24,41 @@
 //! The CSR output arrays (`rowptr`/`colidx`/`values`) are *returned to the
 //! caller* inside the product and therefore cannot be pooled.
 //!
+//! # Transparent huge pages
+//!
+//! The large buffers a multiply allocates and first-touches on every call
+//! without a warm workspace are advised `MADV_HUGEPAGE` before their first
+//! write (see [`advise_huge_pages`](pb_sparse::mmapio::advise_huge_pages)):
+//!
+//! | buffer | advised | where |
+//! |---|---|---|
+//! | tuple buffer | when it grows; **not** on a multi-domain run | [`WorkspaceLease::take_entries_uninit`] |
+//! | CSR `colidx`/`values` | every multiply (they leave with the product) | [`assemble`](crate::assemble) |
+//! | sort scratch | never: pooled only, so its first touch and free are paid once | — |
+//! | bin/row staging | never: far below the floor | — |
+//!
+//! A tuple buffer that workspace decay re-allocates smaller stays on
+//! 4 KiB pages: it is first-touched once and then recycled.
+//!
+//! * **Floor.**  Ranges under 8 MiB stay on 4 KiB pages, and only the
+//!   2 MiB-aligned interior of a buffer is advised, so small multiplies —
+//!   the serve path's and the tiled path's — run exactly as before.
+//! * **NUMA exception.**  On a multi-domain run the tuple buffer keeps
+//!   4 KiB pages: its (bin, domain) sub-segments are about `L2 / domains`
+//!   long, far below one 2 MiB page, so a huge page would mix domains and
+//!   undo the expand phase's first-touch locality (the rule lives in
+//!   [`expand`](crate::expand)).
+//! * **Host modes.**  `/sys/kernel/mm/transparent_hugepage/enabled` stays
+//!   the only control: `madvise` honours the advice, `always` gives huge
+//!   pages without it, and `never` turns it off host-wide.  With
+//!   `defrag` set to `madvise` (or `always`) a fault in an advised range
+//!   may compact memory synchronously when the host is fragmented, so a
+//!   first touch can occasionally stall instead of falling back to
+//!   4 KiB pages at once.
+//! * **Telemetry.**  The accepted bytes land in
+//!   [`PhaseStats::huge_page_bytes`](crate::profile::PhaseStats::huge_page_bytes);
+//!   a recycled buffer keeps its earlier advice and is not counted again.
+//!
 //! # NUMA-aware sort scratch
 //!
 //! The sort phase claims whole bins freely (a bin's buffer interleaves
@@ -471,13 +506,16 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
 
     /// The expand phase's uninitialised global tuple buffer: length 0,
     /// capacity at least `flop` entries (recycled when the high-water mark
-    /// allows, freshly allocated — and counted — otherwise).
+    /// allows, freshly allocated — and counted — otherwise).  With
+    /// `huge_pages`, a freshly allocated buffer is advised `MADV_HUGEPAGE`
+    /// first (see the module docs).
     pub fn take_entries_uninit(
         &mut self,
         flop: usize,
+        huge_pages: bool,
         stats: &StatsCollector,
     ) -> Vec<MaybeUninit<Entry<V>>> {
-        let v = self.take_entries_vec(flop, stats);
+        let v = self.take_entries_vec(flop, huge_pages, stats);
         debug_assert!(v.is_empty());
         // SAFETY: `Entry<V>` and `MaybeUninit<Entry<V>>` have identical
         // layout, and the vector is empty, so no element is reinterpreted.
@@ -493,7 +531,12 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
 
     /// Like [`WorkspaceLease::take_entries_uninit`], but as a plain (empty,
     /// pre-reserved) vector for the ThreadLocal expand strategy.
-    pub fn take_entries_vec(&mut self, flop: usize, stats: &StatsCollector) -> Vec<Entry<V>> {
+    pub fn take_entries_vec(
+        &mut self,
+        flop: usize,
+        huge_pages: bool,
+        stats: &StatsCollector,
+    ) -> Vec<Entry<V>> {
         let mut v = std::mem::take(&mut self.pool.entries);
         v.clear();
         let bytes = (flop * std::mem::size_of::<Entry<V>>()) as u64;
@@ -510,6 +553,9 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
             // Growing would memcpy nothing (the vector is empty) but still
             // re-allocates the whole buffer: count it all as allocated.
             v = Vec::with_capacity(flop);
+            if huge_pages {
+                stats.record_huge_pages(advise_capacity(&v));
+            }
             self.record(
                 stats,
                 Acquire {
@@ -651,6 +697,15 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
             ws.checkin(std::mem::replace(&mut self.pool, PoolOf::empty()), usage);
         }
     }
+}
+
+/// Advises the whole (still untouched) capacity of `v` `MADV_HUGEPAGE`;
+/// returns the bytes the kernel accepted (0 under the 8 MiB floor).
+pub(crate) fn advise_capacity<T>(v: &Vec<T>) -> usize {
+    pb_sparse::mmapio::advise_huge_pages(
+        v.as_ptr() as *const u8,
+        v.capacity() * std::mem::size_of::<T>(),
+    )
 }
 
 /// Clears `v` and ensures capacity for `needed` words, reporting the
@@ -842,7 +897,7 @@ mod tests {
 
         // First multiply: everything allocates.
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let entries = lease.take_entries_vec(1000, &stats);
+        let entries = lease.take_entries_vec(1000, true, &stats);
         assert!(entries.capacity() >= 1000);
         lease.prepare_scratch(500, 2, zero(), &stats);
         let offsets = lease.take_bin_offsets(&[0, 10, 20], &stats);
@@ -867,7 +922,7 @@ mod tests {
         // Second multiply of the same sizes: zero allocation, all hits.
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let entries = lease.take_entries_vec(1000, &stats);
+        let entries = lease.take_entries_vec(1000, true, &stats);
         lease.prepare_scratch(500, 2, zero(), &stats);
         let offsets = lease.take_bin_offsets(&[0, 10, 20], &stats);
         let lens = lease.take_compressed_len([10usize, 10].into_iter(), &stats);
@@ -911,7 +966,7 @@ mod tests {
         let ws = Arc::new(Workspace::new());
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let v = lease.take_entries_vec(100, &stats);
+        let v = lease.take_entries_vec(100, true, &stats);
         let tuples = BinnedTuples {
             entries: v,
             bin_offsets: Vec::new(),
@@ -923,7 +978,7 @@ mod tests {
         // A bool-valued multiply cannot reuse f64 buffers: it rebuilds.
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<bool>::acquire(Some(ws.clone()));
-        let v = lease.take_entries_vec(100, &stats);
+        let v = lease.take_entries_vec(100, true, &stats);
         assert!(v.capacity() >= 100);
         let s = stats.snapshot();
         assert!(s.bytes_allocated > 0);
@@ -934,7 +989,7 @@ mod tests {
     fn missing_workspace_is_a_pure_fresh_path() {
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(None);
-        let v = lease.take_entries_vec(256, &stats);
+        let v = lease.take_entries_vec(256, true, &stats);
         assert!(v.capacity() >= 256);
         let s = stats.snapshot();
         assert_eq!(s.bytes_reused, 0);
@@ -991,7 +1046,7 @@ mod tests {
     fn synthetic_multiply(ws: &Arc<Workspace>, flop: usize, scratch: usize) -> crate::PhaseStats {
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let mut entries = lease.take_entries_vec(flop, &stats);
+        let mut entries = lease.take_entries_vec(flop, true, &stats);
         entries.resize(flop, zero());
         if scratch > 0 {
             lease.prepare_scratch(scratch, 1, zero(), &stats);

@@ -153,6 +153,24 @@ fn rings_survive_pressure_and_spans_agree_with_phase_stats() {
         traced_profile.stats.bytes_allocated, 0,
         "enabling the tracer must not cost workspace-managed allocations"
     );
+    // The pool's flush interleaving varies between runs, so random values
+    // may sum in another order: the pattern must match exactly, the values
+    // to rounding.
+    assert_eq!(traced.rowptr(), untraced.rowptr(), "tracing changed rowptr");
+    assert_eq!(traced.colidx(), untraced.colidx(), "tracing changed colidx");
+    for (t, u) in traced.values().iter().zip(untraced.values()) {
+        assert!(
+            (t - u).abs() <= 1e-12 * u.abs().max(1.0),
+            "tracing changed a value: {t} vs {u}"
+        );
+    }
+    // Unit values sum to exact integers in every order, so there the
+    // traced product must be the same bits.
+    let unit = a.map_values(|_| 1.0);
+    trace::set_enabled(false);
+    let (untraced, _) = engine.multiply_with_profile::<PlusTimes<f64>>(&unit, &unit);
+    trace::set_enabled(true);
+    let (traced, _) = engine.multiply_with_profile::<PlusTimes<f64>>(&unit, &unit);
     assert_eq!(traced, untraced, "tracing must never change the product");
 
     // --- Span durations agree with PhaseStats. ----------------------------

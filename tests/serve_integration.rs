@@ -61,6 +61,21 @@ fn u(v: &serde::Value, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing integer `{key}` in {v:?}"))
 }
 
+/// A `store` request carrying `m`'s sparsity pattern with every value 1.0.
+/// Unit-valued products are sums of exact integers, so every kernel must
+/// return them bit for bit whatever order it adds in.
+fn store_unit_line(name: &str, m: &pb_spgemm_suite::sparse::Csr<f64>) -> String {
+    let entries: Vec<String> = (0..m.nrows())
+        .flat_map(|r| m.row(r).0.iter().map(move |&c| format!("[{r},{c},1.0]")))
+        .collect();
+    format!(
+        r#"{{"op":"store","name":"{name}","rows":{},"cols":{},"entries":[{}]}}"#,
+        m.nrows(),
+        m.ncols(),
+        entries.join(",")
+    )
+}
+
 fn start_server() -> Server {
     Server::start(
         ServeConfig::default()
@@ -279,12 +294,12 @@ fn per_request_algorithm_override_and_shutdown_op() {
     let server = start_server();
     let addr = server.addr();
     let mut c = Client::connect(addr);
-    assert!(ok(&c.call(
-        r#"{"op":"gen","name":"q","kind":"er","scale":5,"edge_factor":4,"seed":2}"#
-    )));
+    let q = pb_spgemm_suite::gen::erdos_renyi_square(5, 4, 2);
+    let r = c.call(&store_unit_line("q", &q));
+    assert!(ok(&r), "{r:?}");
 
-    // The same product under the planner, PB, a baseline and the reference
-    // oracle must agree bit-for-bit.
+    // The same unit-valued product under the planner, PB, a baseline and
+    // the reference oracle must agree bit-for-bit.
     let mut prints = Vec::new();
     for alg in ["auto", "pb", "hash", "reference"] {
         let r = c.call(&format!(
