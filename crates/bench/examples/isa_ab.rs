@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use pb_spgemm::sort::sort_slice_with;
-use pb_spgemm::{simd, Entry, SortAlgorithm};
+use pb_spgemm::{simd, Entry};
 
 /// Corpus-shaped workload: 16 Ki entries (a mid-size L2 bin) of 19-bit
 /// packed keys declared as 3 key bytes, exactly what the smoke corpus bins
@@ -50,15 +50,10 @@ fn main() {
 
     // Bitwise identity first: timing a wrong kernel is worse than useless.
     let mut oracle = data.clone();
-    sort_slice_with(
-        &mut oracle,
-        KEY_BYTES,
-        SortAlgorithm::LsdRadix,
-        simd::Isa::Scalar,
-    );
+    sort_slice_with(&mut oracle, KEY_BYTES, simd::Isa::Scalar);
     for &isa in &levels {
         let mut d = data.clone();
-        sort_slice_with(&mut d, KEY_BYTES, SortAlgorithm::LsdRadix, isa);
+        sort_slice_with(&mut d, KEY_BYTES, isa);
         assert_eq!(d, oracle, "{isa} diverged from the scalar oracle");
     }
 
@@ -68,7 +63,7 @@ fn main() {
         for (slot, &isa) in levels.iter().enumerate() {
             let mut d = data.clone();
             let t = Instant::now();
-            sort_slice_with(&mut d, KEY_BYTES, SortAlgorithm::LsdRadix, isa);
+            sort_slice_with(&mut d, KEY_BYTES, isa);
             sort_min[slot] = sort_min[slot].min(t.elapsed().as_secs_f64());
             std::hint::black_box(&d);
         }

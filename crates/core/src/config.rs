@@ -4,9 +4,9 @@
 //! bins (`nbins`, chosen so one bin's tuples fit in L2 cache) and the local
 //! bin width (512 bytes by default, a few cache lines).  This reproduction
 //! additionally exposes the bin→row mapping, the expand strategy and the
-//! sort algorithm so they can be ablated in the benchmark suite — and an
-//! [`AutoTune`] feedback policy that adapts the local-bin width *between*
-//! multiplies from the telemetry of
+//! compress-phase bin splitting so they can be ablated in the benchmark
+//! suite — and an [`AutoTune`] feedback policy that adapts the local-bin
+//! width *between* multiplies from the telemetry of
 //! [`PhaseStats`](crate::profile::PhaseStats), so a long-running engine
 //! (iterated graph kernels, repeated products of similar shape) converges
 //! to the right flush granularity instead of trusting the static default.
@@ -51,21 +51,6 @@ pub enum ExpandStrategy {
     /// Safe fallback used for differential testing: every thread keeps
     /// per-bin `Vec`s which are concatenated after the parallel loop.
     ThreadLocal,
-}
-
-/// Which sorting algorithm orders the tuples inside a bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortAlgorithm {
-    /// Least-significant-digit radix sort with a scratch buffer, one pass
-    /// per significant key byte (default; matches the paper's byte-wise
-    /// radix sort with the adaptive number of passes).
-    LsdRadix,
-    /// In-place American-flag (MSD) radix sort, as cited by the paper
-    /// (McIlroy et al.).
-    AmericanFlag,
-    /// `slice::sort_unstable_by_key` — a comparison sort used as the
-    /// correctness oracle and as an ablation point.
-    Comparison,
 }
 
 /// Size of one cache line in bytes on every platform this reproduction
@@ -356,8 +341,6 @@ pub struct PbConfig {
     pub bin_mapping: BinMapping,
     /// Expand strategy (default [`ExpandStrategy::Reserved`]).
     pub expand: ExpandStrategy,
-    /// In-bin sort algorithm (default [`SortAlgorithm::LsdRadix`]).
-    pub sort: SortAlgorithm,
     /// Number of rayon worker threads; `None` uses the global pool.
     pub threads: Option<usize>,
     /// Number of NUMA domains to partition the global bins (and the expand
@@ -415,7 +398,6 @@ impl PartialEq for PbConfig {
             && self.l2_bytes == other.l2_bytes
             && self.bin_mapping == other.bin_mapping
             && self.expand == other.expand
-            && self.sort == other.sort
             && self.threads == other.threads
             && self.numa_domains == other.numa_domains
             && self.compress_split == other.compress_split
@@ -431,7 +413,6 @@ impl Default for PbConfig {
             l2_bytes: 1024 * 1024,
             bin_mapping: BinMapping::Range,
             expand: ExpandStrategy::Reserved,
-            sort: SortAlgorithm::LsdRadix,
             threads: None,
             numa_domains: None,
             compress_split: CompressSplit::Auto,
@@ -534,12 +515,6 @@ impl PbConfig {
         self
     }
 
-    /// Sets the in-bin sort algorithm.
-    pub fn with_sort(mut self, sort: SortAlgorithm) -> Self {
-        self.sort = sort;
-        self
-    }
-
     /// Sets the number of worker threads (a dedicated rayon pool is built
     /// for the multiplication).
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -628,7 +603,6 @@ mod tests {
         assert_eq!(c.local_bin_bytes, 512);
         assert_eq!(c.bin_mapping, BinMapping::Range);
         assert_eq!(c.expand, ExpandStrategy::Reserved);
-        assert_eq!(c.sort, SortAlgorithm::LsdRadix);
         assert_eq!(c.nbins, None);
         assert_eq!(c.threads, None);
     }

@@ -27,6 +27,7 @@
 //! assert_eq!(c.get(0, 2), Some(6.0));
 //! ```
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -41,6 +42,7 @@ use crate::error::PbError;
 use crate::planner::{PlannedKernel, Planner, Signals};
 use crate::profile::{PhaseTimings, SpGemmProfile};
 use crate::tiled::{TiledConfig, TiledReport};
+use crate::trace::{self, SpanName};
 use crate::workspace::Workspace;
 
 /// Environment variable selecting the default algorithm of
@@ -337,9 +339,11 @@ impl SpGemm {
 
     /// Starts a masked multiply: the product is kept only at the stored
     /// coordinates of `mask`.  The PB kernel filters the binned tuples
-    /// in-pipeline; other kernels multiply and filter
-    /// (`mask_by_pattern`-style), so every algorithm yields the same masked
-    /// product.
+    /// in-pipeline (the mask stage of its compress phase); other kernels
+    /// multiply and filter (`mask_by_pattern`), so every algorithm yields
+    /// the same masked product.  A masked multiply dispatches, plans and
+    /// records into the engine's [`ProfileSink`] exactly like an unmasked
+    /// one.
     pub fn mask<'a, M: Scalar>(&'a self, mask: &'a Csr<M>) -> Masked<'a, M> {
         Masked { engine: self, mask }
     }
@@ -362,46 +366,7 @@ impl SpGemm {
     where
         S::Elem: Default,
     {
-        let _span = crate::trace::span(crate::trace::SpanName::EngineMultiply);
-        let (c, profile) = match &self.algorithm {
-            Algorithm::Pb => crate::pb_multiply_with_profile::<S>(&a.to_csc(), b, &self.config),
-            Algorithm::Baseline(baseline) => {
-                let t = Instant::now();
-                let c = baseline.multiply_with::<S>(a, b);
-                let profile = synthetic_profile::<S>(a, b, &c, t.elapsed().as_secs_f64());
-                (c, profile)
-            }
-            Algorithm::Reference => {
-                let t = Instant::now();
-                let c = reference::multiply_csr_with::<S>(a, b);
-                let profile = synthetic_profile::<S>(a, b, &c, t.elapsed().as_secs_f64());
-                (c, profile)
-            }
-            Algorithm::Auto => {
-                let planner = self
-                    .planner
-                    .as_ref()
-                    .expect("Auto engine carries a planner");
-                let signals = Signals::measure(a, b, &self.config);
-                let kernel = planner.decide(&signals);
-                let t = Instant::now();
-                let (c, mut profile) = match kernel.baseline() {
-                    None => crate::pb_multiply_with_profile::<S>(&a.to_csc(), b, &self.config),
-                    Some(baseline) => {
-                        let c = baseline.multiply_with::<S>(a, b);
-                        let p = synthetic_profile::<S>(a, b, &c, t.elapsed().as_secs_f64());
-                        (c, p)
-                    }
-                };
-                planner.observe(kernel, &signals, t.elapsed().as_secs_f64());
-                stamp_plan(&mut profile, kernel, &signals);
-                (c, profile)
-            }
-        };
-        if let Some(sink) = &self.profile_sink {
-            sink.record(profile);
-        }
-        (c, profile)
+        self.dispatch::<S, S::Elem>(Operand::Csr(a), b, None)
     }
 
     /// Computes `A·B` under an arbitrary semiring.
@@ -433,30 +398,7 @@ impl SpGemm {
     where
         S::Elem: Default,
     {
-        let _span = crate::trace::span(crate::trace::SpanName::EngineMultiplyCsc);
-        let (c, profile) = match &self.algorithm {
-            Algorithm::Pb | Algorithm::Auto => {
-                crate::pb_multiply_with_profile::<S>(a, b, &self.config)
-            }
-            Algorithm::Baseline(baseline) => {
-                let a_csr = a.to_csr();
-                let t = Instant::now();
-                let c = baseline.multiply_with::<S>(&a_csr, b);
-                let profile = synthetic_profile::<S>(&a_csr, b, &c, t.elapsed().as_secs_f64());
-                (c, profile)
-            }
-            Algorithm::Reference => {
-                let a_csr = a.to_csr();
-                let t = Instant::now();
-                let c = reference::multiply_csr_with::<S>(&a_csr, b);
-                let profile = synthetic_profile::<S>(&a_csr, b, &c, t.elapsed().as_secs_f64());
-                (c, profile)
-            }
-        };
-        if let Some(sink) = &self.profile_sink {
-            sink.record(profile);
-        }
-        (c, profile)
+        self.dispatch::<S, S::Elem>(Operand::Csc(a), b, None)
     }
 
     /// The CSC fast path under an arbitrary semiring.
@@ -501,6 +443,104 @@ impl SpGemm {
     ) -> Result<(Csr<T>, TiledReport), PbError> {
         self.multiply_tiled_with::<PlusTimes<T>>(a, b, cfg)
     }
+
+    /// The one multiply dispatch behind every entry point: `a` as the
+    /// caller handed it over, an optional output mask, the product plus
+    /// its profile (also recorded into the [`ProfileSink`]).
+    fn dispatch<S: Semiring, M: Scalar>(
+        &self,
+        a: Operand<'_, S::Elem>,
+        b: &Csr<S::Elem>,
+        mask: Option<&Csr<M>>,
+    ) -> (Csr<S::Elem>, SpGemmProfile)
+    where
+        S::Elem: Default,
+    {
+        // Opened before any transpose, so a trace charges the conversion
+        // to the engine call that needed it.
+        let _span = trace::span(match (a, mask) {
+            (_, Some(_)) => SpanName::EngineMasked,
+            (Operand::Csr(_), None) => SpanName::EngineMultiply,
+            (Operand::Csc(_), None) => SpanName::EngineMultiplyCsc,
+        });
+        if let Some(mask) = mask {
+            assert_eq!(
+                mask.shape(),
+                (a.nrows(), b.ncols()),
+                "the mask must have the shape of the product"
+            );
+        }
+        // Only CSR input is planned: the CSC entry exists because the
+        // caller already committed to PB's layout.
+        let plan = match a {
+            Operand::Csr(a) if self.algorithm == Algorithm::Auto => {
+                let planner = self
+                    .planner
+                    .as_deref()
+                    .expect("Auto engine carries a planner");
+                let signals = Signals::measure(a, b, &self.config);
+                Some((planner, planner.decide(&signals), signals))
+            }
+            _ => None,
+        };
+        let algorithm = plan.as_ref().map_or(self.algorithm, |(_, kernel, _)| {
+            kernel.baseline().map_or(Algorithm::Pb, Algorithm::Baseline)
+        });
+        let t = Instant::now();
+        let (c, mut profile) = match algorithm {
+            Algorithm::Pb | Algorithm::Auto => {
+                crate::pb_multiply_with_profile::<S, M>(&a.csc(), b, mask, &self.config)
+            }
+            Algorithm::Baseline(baseline) => {
+                column::<S, M>(&a.csr(), b, mask, |a, b| baseline.multiply_with::<S>(a, b))
+            }
+            Algorithm::Reference => {
+                column::<S, M>(&a.csr(), b, mask, reference::multiply_csr_with::<S>)
+            }
+        };
+        if let Some((planner, kernel, signals)) = plan {
+            planner.observe(kernel, &signals, t.elapsed().as_secs_f64());
+            stamp_plan(&mut profile, kernel, &signals);
+        }
+        if let Some(sink) = &self.profile_sink {
+            sink.record(profile);
+        }
+        (c, profile)
+    }
+}
+
+/// The left operand of a multiply, in the layout the caller handed over.
+#[derive(Clone, Copy)]
+enum Operand<'a, T: Scalar> {
+    /// Row-major: what the planner and the column kernels read.
+    Csr(&'a Csr<T>),
+    /// Column-major: what the PB pipeline reads.
+    Csc(&'a Csc<T>),
+}
+
+impl<'a, T: Scalar + Default> Operand<'a, T> {
+    fn nrows(self) -> usize {
+        match self {
+            Operand::Csr(a) => a.nrows(),
+            Operand::Csc(a) => a.nrows(),
+        }
+    }
+
+    /// `A` in CSC, transposed only when it came as CSR.
+    fn csc(self) -> Cow<'a, Csc<T>> {
+        match self {
+            Operand::Csr(a) => Cow::Owned(a.to_csc()),
+            Operand::Csc(a) => Cow::Borrowed(a),
+        }
+    }
+
+    /// `A` in CSR, transposed only when it came as CSC.
+    fn csr(self) -> Cow<'a, Csr<T>> {
+        match self {
+            Operand::Csr(a) => Cow::Borrowed(a),
+            Operand::Csc(a) => Cow::Owned(a.to_csr()),
+        }
+    }
 }
 
 impl Kernel for SpGemm {
@@ -525,48 +565,15 @@ pub struct Masked<'a, M: Scalar> {
 }
 
 impl<M: Scalar> Masked<'_, M> {
-    /// Computes `(A·B) ∘ pattern(mask)` under an arbitrary semiring.
+    /// Computes `(A·B) ∘ pattern(mask)` under an arbitrary semiring.  The
+    /// multiply's profile goes to the engine's [`ProfileSink`], if any.
     pub fn multiply_with<S: Semiring>(&self, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Csr<S::Elem>
     where
         S::Elem: Default,
     {
-        match &self.engine.algorithm {
-            Algorithm::Pb => crate::masked::pb_multiply_masked_with::<S, M>(
-                &a.to_csc(),
-                b,
-                self.mask,
-                &self.engine.config,
-            ),
-            Algorithm::Baseline(baseline) => {
-                mask_by_pattern(&baseline.multiply_with::<S>(a, b), self.mask)
-            }
-            Algorithm::Reference => {
-                mask_by_pattern(&reference::multiply_csr_with::<S>(a, b), self.mask)
-            }
-            Algorithm::Auto => {
-                let planner = self
-                    .engine
-                    .planner
-                    .as_ref()
-                    .expect("Auto engine carries a planner");
-                let signals = Signals::measure(a, b, &self.engine.config);
-                let kernel = planner.decide(&signals);
-                let t = Instant::now();
-                let c = match kernel.baseline() {
-                    None => crate::masked::pb_multiply_masked_with::<S, M>(
-                        &a.to_csc(),
-                        b,
-                        self.mask,
-                        &self.engine.config,
-                    ),
-                    Some(baseline) => {
-                        mask_by_pattern(&baseline.multiply_with::<S>(a, b), self.mask)
-                    }
-                };
-                planner.observe(kernel, &signals, t.elapsed().as_secs_f64());
-                c
-            }
-        }
+        self.engine
+            .dispatch::<S, M>(Operand::Csr(a), b, Some(self.mask))
+            .0
     }
 
     /// Computes `(A·B) ∘ pattern(mask)` with ordinary `+`/`×`.
@@ -580,18 +587,9 @@ impl<M: Scalar> Masked<'_, M> {
     where
         S::Elem: Default,
     {
-        match &self.engine.algorithm {
-            Algorithm::Pb | Algorithm::Auto => {
-                crate::masked::pb_multiply_masked_with::<S, M>(a, b, self.mask, &self.engine.config)
-            }
-            Algorithm::Baseline(baseline) => {
-                mask_by_pattern(&baseline.multiply_with::<S>(&a.to_csr(), b), self.mask)
-            }
-            Algorithm::Reference => mask_by_pattern(
-                &reference::multiply_csr_with::<S>(&a.to_csr(), b),
-                self.mask,
-            ),
-        }
+        self.engine
+            .dispatch::<S, M>(Operand::Csc(a), b, Some(self.mask))
+            .0
     }
 
     /// The masked CSC fast path with ordinary `+`/`×`.
@@ -625,17 +623,25 @@ impl<M: Scalar> Masked<'_, M> {
     }
 }
 
-/// Profile for a kernel without a phase breakdown: the whole runtime is
-/// reported as the expand phase, the size facts are exact.
-fn synthetic_profile<S: Semiring>(
+/// Runs a column kernel (a baseline or the reference), masking its
+/// product when asked.  The profile's size facts are exact; having no
+/// phase breakdown, the kernel reports its whole runtime as the expand
+/// phase.
+fn column<S: Semiring, M: Scalar>(
     a: &Csr<S::Elem>,
     b: &Csr<S::Elem>,
-    c: &Csr<S::Elem>,
-    seconds: f64,
-) -> SpGemmProfile {
-    SpGemmProfile {
+    mask: Option<&Csr<M>>,
+    kernel: impl FnOnce(&Csr<S::Elem>, &Csr<S::Elem>) -> Csr<S::Elem>,
+) -> (Csr<S::Elem>, SpGemmProfile) {
+    let t = Instant::now();
+    let c = kernel(a, b);
+    let c = match mask {
+        Some(mask) => mask_by_pattern(&c, mask),
+        None => c,
+    };
+    let profile = SpGemmProfile {
         timings: PhaseTimings {
-            expand: std::time::Duration::from_secs_f64(seconds),
+            expand: t.elapsed(),
             ..PhaseTimings::default()
         },
         flop: pb_sparse::stats::flop_csr(a, b),
@@ -647,7 +653,8 @@ fn synthetic_profile<S: Semiring>(
         tuple_bytes: crate::bins::BinnedTuples::<S::Elem>::tuple_bytes(),
         coo_bytes: pb_sparse::stats::bytes_per_tuple::<S::Elem>(),
         stats: crate::profile::PhaseStats::default(),
-    }
+    };
+    (c, profile)
 }
 
 fn stamp_plan(profile: &mut SpGemmProfile, kernel: PlannedKernel, signals: &Signals) {
@@ -703,6 +710,39 @@ mod tests {
         // A forced engine reports Unplanned.
         let (_, p) = SpGemm::pb().multiply_with_profile::<PlusTimes<f64>>(&a, &a);
         assert_eq!(p.stats.planned_algorithm, PlannedKernel::Unplanned);
+    }
+
+    #[test]
+    fn masked_multiplies_record_their_profile_into_the_sink() {
+        // Sparse, collision-poor and above the planner's tiny-flop floor,
+        // so a fresh planner's prior picks PB and every phase runs.
+        let a = erdos_renyi_square(10, 8, 31);
+        for engine in [
+            SpGemm::pb(),
+            SpGemm::auto().planner(Arc::new(Planner::new())),
+        ] {
+            let sink = ProfileSink::new();
+            let engine = engine.profile(Arc::clone(&sink));
+            let full = engine.multiply(&a, &a);
+            let c = engine.mask(&a).multiply(&a, &a);
+            assert!(c.nnz() < full.nnz(), "the mask must drop entries");
+            let p = sink.latest().expect("sink captured the masked multiply");
+            assert_eq!(p.nnz_c, c.nnz(), "{}: stale profile", engine.name());
+            assert_eq!(p.flop, pb_sparse::stats::flop_csr(&a, &a));
+            let t = p.timings;
+            for (phase, d) in [
+                ("symbolic", t.symbolic),
+                ("expand", t.expand),
+                ("sort", t.sort),
+                ("compress", t.compress),
+                ("assemble", t.assemble),
+            ] {
+                assert!(d > std::time::Duration::ZERO, "{}: {phase}", engine.name());
+            }
+            if engine.kind() == Algorithm::Auto {
+                assert_eq!(p.stats.planned_algorithm, PlannedKernel::Pb);
+            }
+        }
     }
 
     #[test]

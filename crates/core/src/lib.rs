@@ -65,7 +65,6 @@ pub mod engine;
 pub mod error;
 pub mod expand;
 pub mod masked;
-pub mod partitioned;
 pub mod planner;
 pub mod profile;
 pub mod simd;
@@ -77,10 +76,9 @@ pub mod trace;
 pub mod workspace;
 
 pub use bins::{BinLayout, BinnedTuples, Entry};
-pub use config::{AutoTune, BinMapping, CompressSplit, ExpandStrategy, PbConfig, SortAlgorithm};
+pub use config::{AutoTune, BinMapping, CompressSplit, ExpandStrategy, PbConfig};
 pub use engine::{Algorithm, Masked, ProfileSink, SpGemm, ALGORITHM_ENV};
 pub use error::{validate_env, PbError};
-pub use partitioned::{multiply_partitioned, multiply_partitioned_with};
 pub use planner::{PlannedKernel, Planner, Signals};
 pub use profile::{IsaDispatch, Phase, PhaseStats, PhaseTimings, SpGemmProfile, StatsCollector};
 pub use simd::{Isa, SIMD_ENV};
@@ -95,27 +93,25 @@ pub use workspace::{Workspace, DECAY_AFTER_LOW_LEASES};
 use std::time::Instant;
 
 use pb_sparse::semiring::Semiring;
-use pb_sparse::{Csc, Csr};
+use pb_sparse::{Csc, Csr, Scalar};
 
-/// The PB pipeline primitive: `A` in CSC, `B` in CSR, result plus per-phase
-/// profile.  Everything — the [`SpGemm`] engine's PB arm and the
-/// row-partitioned multiply — funnels through here, so there is exactly one
-/// implementation to trust.
-pub(crate) fn pb_multiply_with_profile<S: Semiring>(
-    a: &Csc<S::Elem>,
-    b: &Csr<S::Elem>,
-    config: &PbConfig,
-) -> (Csr<S::Elem>, SpGemmProfile) {
-    install_config_pool(config, || run_phases::<S>(a, b, config))
-}
-
-/// Runs `f` on the pool `config` requests: a dedicated pool of
+/// The PB pipeline primitive: `A` in CSC, `B` in CSR, an optional output
+/// mask, result plus per-phase profile.  Every PB multiply the [`SpGemm`]
+/// engine runs, masked or not, funnels through here, so there is exactly
+/// one implementation to trust.
+///
+/// The phases run on the pool `config` requests: a dedicated pool of
 /// [`PbConfig::threads`] threads when set (labelled with
 /// [`PbConfig::numa_domains`] when that is set too, so the worker↔domain
 /// labels match the bin partition; 0 = discover via `PB_NUMA_DOMAINS` /
-/// sysfs), the calling thread's current pool otherwise.  Shared by the
-/// plain and the masked multiply so both honour the same knobs.
-pub(crate) fn install_config_pool<R>(config: &PbConfig, f: impl FnOnce() -> R) -> R {
+/// sysfs), the calling thread's current pool otherwise.
+pub(crate) fn pb_multiply_with_profile<S: Semiring, M: Scalar>(
+    a: &Csc<S::Elem>,
+    b: &Csr<S::Elem>,
+    mask: Option<&Csr<M>>,
+    config: &PbConfig,
+) -> (Csr<S::Elem>, SpGemmProfile) {
+    let run = || run_phases::<S, M>(a, b, mask, config);
     match config.threads {
         Some(t) => {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -127,15 +123,21 @@ pub(crate) fn install_config_pool<R>(config: &PbConfig, f: impl FnOnce() -> R) -
             // correlation id so the phase spans emitted inside still carry
             // the originating request.
             let corr = trace::current_corr();
-            pool.install(|| trace::with_corr(corr, f))
+            pool.install(|| trace::with_corr(corr, run))
         }
-        None => f(),
+        None => run(),
     }
 }
 
-fn run_phases<S: Semiring>(
+/// The phase sequence.  With a `mask`, the compress phase ends with the
+/// mask stage ([`masked::apply_mask`]): it runs inside the compress
+/// `Instant` window, so [`PhaseTimings::compress`] covers both, and under
+/// its own `phase.mask` span nested in `phase.compress`, so a trace still
+/// tells the two apart.
+fn run_phases<S: Semiring, M: Scalar>(
     a: &Csc<S::Elem>,
     b: &Csr<S::Elem>,
+    mask: Option<&Csr<M>>,
     config: &PbConfig,
 ) -> (Csr<S::Elem>, SpGemmProfile) {
     let tuple_bytes = BinnedTuples::<S::Elem>::tuple_bytes();
@@ -175,6 +177,10 @@ fn run_phases<S: Semiring>(
     let span = trace::span(trace::SpanName::PhaseCompress);
     let t3 = Instant::now();
     compress::compress_bins::<S>(&mut tuples, config.compress_split, &stats);
+    if let Some(mask) = mask {
+        let _span = trace::span(trace::SpanName::PhaseMask);
+        masked::apply_mask(&mut tuples, mask);
+    }
     let t_compress = t3.elapsed();
     drop(span);
 
@@ -213,17 +219,17 @@ fn run_phases<S: Semiring>(
 
 /// Runs the sort phase with workspace-leased, per-NUMA-domain scratch slabs
 /// when the lease is actually backed by a persistent [`Workspace`] and the
-/// configured algorithm uses scratch at all (LSD radix on bins above the
-/// insertion-sort threshold).  The slab pages are first-touched by their
-/// owning domain's workers (see [`workspace`]), so on a real NUMA host the
-/// sort phase's scratch streams stay socket-local.
+/// LSD radix sort uses scratch at all (some bin above the insertion-sort
+/// threshold).  The slab pages are first-touched by their owning domain's
+/// workers (see [`workspace`]), so on a real NUMA host the sort phase's
+/// scratch streams stay socket-local.
 ///
 /// Fresh (workspace-less) leases keep the classic lazy per-bin scratch
 /// inside [`sort::sort_bins`]: the slab's upfront zero-fill of
 /// `flop + domains·max_bin` entries only pays for itself when amortised
 /// across multiplies, and on a throwaway buffer it would roughly double
 /// the sort phase's memory traffic for nothing.
-pub(crate) fn sort_with_lease<S: Semiring>(
+fn sort_with_lease<S: Semiring>(
     tuples: &mut BinnedTuples<S::Elem>,
     sym: &symbolic::Symbolic,
     config: &PbConfig,
@@ -231,11 +237,10 @@ pub(crate) fn sort_with_lease<S: Semiring>(
     lease: &mut workspace::WorkspaceLease<S::Elem>,
 ) {
     let isa = config.resolve_simd();
-    let needs_scratch = lease.is_pooled()
-        && config.sort == SortAlgorithm::LsdRadix
-        && sym.bin_flop.iter().any(|&f| f as usize > sort::SMALL_SORT);
+    let needs_scratch =
+        lease.is_pooled() && sym.bin_flop.iter().any(|&f| f as usize > sort::SMALL_SORT);
     if !needs_scratch {
-        sort::sort_bins_with(tuples, config.sort, isa, stats);
+        sort::sort_bins_with(tuples, isa, stats);
         return;
     }
     let max_bin = sym.bin_flop.iter().copied().max().unwrap_or(0) as usize;
@@ -246,7 +251,7 @@ pub(crate) fn sort_with_lease<S: Semiring>(
     };
     lease.prepare_scratch(target, sym.domains, zero, stats);
     let slabs = lease.scratch_slabs(sym.domains);
-    sort::sort_bins_slabbed_with(tuples, config.sort, isa, stats, &slabs);
+    sort::sort_bins_slabbed_with(tuples, isa, stats, &slabs);
 }
 
 #[cfg(test)]
@@ -305,23 +310,16 @@ mod tests {
         let expected = reference_multiply(&a, &a);
         for mapping in [BinMapping::Range, BinMapping::Modulo, BinMapping::Balanced] {
             for strategy in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-                for sort in [
-                    SortAlgorithm::LsdRadix,
-                    SortAlgorithm::AmericanFlag,
-                    SortAlgorithm::Comparison,
-                ] {
-                    for nbins in [1usize, 3, 16, 128] {
-                        let cfg = PbConfig::default()
-                            .with_bin_mapping(mapping)
-                            .with_expand(strategy)
-                            .with_sort(sort)
-                            .with_nbins(nbins);
-                        let c = pb(&cfg).multiply_csc(&a.to_csc(), &a);
-                        assert!(
-                            csr_approx_eq(&c, &expected, 1e-9),
-                            "mismatch for {mapping:?}/{strategy:?}/{sort:?}/nbins={nbins}"
-                        );
-                    }
+                for nbins in [1usize, 3, 16, 128] {
+                    let cfg = PbConfig::default()
+                        .with_bin_mapping(mapping)
+                        .with_expand(strategy)
+                        .with_nbins(nbins);
+                    let c = pb(&cfg).multiply_csc(&a.to_csc(), &a);
+                    assert!(
+                        csr_approx_eq(&c, &expected, 1e-9),
+                        "mismatch for {mapping:?}/{strategy:?}/nbins={nbins}"
+                    );
                 }
             }
         }
@@ -577,15 +575,17 @@ mod tests {
         let a = rmat_square(8, 8, 61).map_values(|_| 1.0);
         let a_csc = a.to_csc();
         let oracle_cfg = PbConfig::default().with_simd(simd::Isa::Scalar);
-        let (oracle, _) = pb_multiply_with_profile::<pb_sparse::semiring::PlusTimes<f64>>(
+        let (oracle, _) = pb_multiply_with_profile::<pb_sparse::semiring::PlusTimes<f64>, f64>(
             &a_csc,
             &a,
+            None,
             &oracle_cfg,
         );
         for isa in simd::Isa::supported() {
             let cfg = PbConfig::default().with_simd(isa);
-            let (c, profile) =
-                pb_multiply_with_profile::<pb_sparse::semiring::PlusTimes<f64>>(&a_csc, &a, &cfg);
+            let (c, profile) = pb_multiply_with_profile::<pb_sparse::semiring::PlusTimes<f64>, f64>(
+                &a_csc, &a, None, &cfg,
+            );
             assert_eq!(c.rowptr(), oracle.rowptr(), "{isa}: rowptr differs");
             assert_eq!(c.colidx(), oracle.colidx(), "{isa}: colidx differs");
             assert_eq!(c.values(), oracle.values(), "{isa}: values differ");

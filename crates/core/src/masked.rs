@@ -9,96 +9,21 @@
 //! compress phase: each bin is scanned once while it is still cache-resident
 //! and only the surviving entries reach CSR assembly.
 //!
-//! The expand/sort/compress phases are unchanged, so the masked multiply
-//! inherits all of PB-SpGEMM's bandwidth behaviour.
+//! The mask is a stage of the one PB pipeline, not a pipeline of its own:
+//! when [`SpGemm::mask`](crate::SpGemm::mask) hands the pipeline a mask,
+//! `apply_mask` runs at the end of the compress phase.  The
+//! expand/sort/compress phases are unchanged, so the masked multiply
+//! inherits all of PB-SpGEMM's bandwidth behaviour, its profile and its
+//! trace spans.
 
-use pb_sparse::semiring::Semiring;
-use pb_sparse::{Csc, Csr, Scalar};
+use pb_sparse::{Csr, Scalar};
 use rayon::prelude::*;
 
 use crate::bins::{BinnedTuples, Entry};
-use crate::config::PbConfig;
-use crate::{assemble, compress, expand, symbolic};
-
-/// The masked PB pipeline primitive: keeps only the output entries whose
-/// coordinates are stored in `mask` (values of the mask are ignored).  The
-/// [`SpGemm`](crate::SpGemm) engine's masked PB arm funnels through here.
-pub(crate) fn pb_multiply_masked_with<S: Semiring, M: Scalar>(
-    a: &Csc<S::Elem>,
-    b: &Csr<S::Elem>,
-    mask: &Csr<M>,
-    config: &PbConfig,
-) -> Csr<S::Elem> {
-    assert_eq!(
-        (mask.nrows(), mask.ncols()),
-        (a.nrows(), b.ncols()),
-        "the mask must have the shape of the product"
-    );
-    // Same pool discipline as the unmasked multiply: an explicit thread
-    // count gets a dedicated pool whose worker↔domain labels match the
-    // bin partition.
-    crate::install_config_pool(config, || run_masked_phases::<S, M>(a, b, mask, config))
-}
-
-fn run_masked_phases<S: Semiring, M: Scalar>(
-    a: &Csc<S::Elem>,
-    b: &Csr<S::Elem>,
-    mask: &Csr<M>,
-    config: &PbConfig,
-) -> Csr<S::Elem> {
-    let tuple_bytes = BinnedTuples::<S::Elem>::tuple_bytes();
-    let stats = crate::profile::StatsCollector::new();
-    stats.record_isa(config.resolve_simd());
-    // The masked pipeline shares the plain multiply's phases, so it also
-    // shares its workspace discipline: iterated masked kernels holding a
-    // workspace-carrying config reuse the same buffers across calls.
-    let mut lease = crate::workspace::WorkspaceLease::<S::Elem>::acquire(config.workspace.clone());
-    let _masked = crate::trace::span(crate::trace::SpanName::EngineMasked);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseSymbolic);
-    let sym = symbolic::symbolic(a, b, config, tuple_bytes);
-    drop(span);
-    stats.record_bin_flop(&sym.bin_flop);
-    stats.record_numa(sym.domains, &sym.domain_flop);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseExpand);
-    let mut tuples = expand::expand::<S>(a, b, &sym, config, &stats, &mut lease);
-    drop(span);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseSort);
-    crate::sort_with_lease::<S>(&mut tuples, &sym, config, &stats, &mut lease);
-    drop(span);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseCompress);
-    compress::compress_bins::<S>(&mut tuples, config.compress_split, &stats);
-    drop(span);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseMask);
-    apply_mask(&mut tuples, mask);
-    drop(span);
-    let span = crate::trace::span(crate::trace::SpanName::PhaseAssemble);
-    let c = assemble::assemble_reusing(&tuples, &stats, &mut lease);
-    drop(span);
-    lease.release(tuples);
-    // Close the AutoTune feedback loop on this path too: the masked
-    // pipeline shares the expand phase, so its flush telemetry is exactly
-    // as valid an input to the policy as an unmasked multiply's (the
-    // timings, which the policy never reads, are simply absent here).
-    if let Some(tuner) = config.auto_tune() {
-        tuner.observe(&crate::profile::SpGemmProfile {
-            timings: crate::profile::PhaseTimings::default(),
-            flop: sym.flop,
-            nnz_a: a.nnz(),
-            nnz_b: b.nnz(),
-            nnz_c: c.nnz(),
-            nbins: sym.layout.nbins,
-            key_bytes: sym.layout.key_bytes(),
-            tuple_bytes,
-            coo_bytes: pb_sparse::stats::bytes_per_tuple::<S::Elem>(),
-            stats: stats.snapshot(),
-        });
-    }
-    c
-}
 
 /// Drops from every bin the (already compressed) tuples whose coordinates are
 /// not stored in `mask`, compacting each bin in place.
-fn apply_mask<V: Scalar, M: Scalar>(tuples: &mut BinnedTuples<V>, mask: &Csr<M>) {
+pub(crate) fn apply_mask<V: Scalar, M: Scalar>(tuples: &mut BinnedTuples<V>, mask: &Csr<M>) {
     // Split borrows instead of staging clones: the offsets, live lengths
     // and layout stay readable while the entry buffer is carved into
     // disjoint per-bin mutable slices.
@@ -144,13 +69,13 @@ fn apply_mask<V: Scalar, M: Scalar>(tuples: &mut BinnedTuples<V>, mask: &Csr<M>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BinMapping;
+    use crate::config::{BinMapping, PbConfig};
     use crate::SpGemm;
     use pb_gen::{erdos_renyi_square, rmat_square};
     use pb_sparse::ops::mask_by_pattern;
     use pb_sparse::reference::{csr_approx_eq, multiply_csr};
     use pb_sparse::semiring::OrAnd;
-    use pb_sparse::Coo;
+    use pb_sparse::{Coo, Csc};
 
     /// Oracle: full product, filtered afterwards.
     fn expected(a: &Csr<f64>, mask: &Csr<f64>) -> Csr<f64> {

@@ -626,7 +626,9 @@ pub struct SpGemmProfile {
     pub nnz_a: usize,
     /// `nnz(B)`.
     pub nnz_b: usize,
-    /// `nnz(C)`.
+    /// `nnz(C)`.  For a masked multiply, the entries of the masked
+    /// product `(A·B) ∘ pattern(M)`, so [`cf`](Self::cf) and the Table III
+    /// traffic model count the masked output.
     pub nnz_c: usize,
     /// Number of propagation bins used.
     pub nbins: usize,

@@ -295,7 +295,7 @@ fn entry_stride<V: Copy>() -> usize {
 /// for entry layouts wider than 16 bytes) and counting the invocation into
 /// `ctr`.
 ///
-/// This kernel serves the american-flag MSD partition count and the
+/// This kernel serves the in-bin parallel sort's MSD partition count and the
 /// per-byte LSD fallback; the main LSD path plans wider digits and goes
 /// through [`fused_histograms`] instead.
 #[inline]

@@ -8,14 +8,12 @@
 //! the paper's key-compression optimisation (usually 4 bytes or fewer, so 4
 //! passes instead of 8).
 //!
-//! Three sorters are provided:
-//!
-//! * [`SortAlgorithm::LsdRadix`] — least-significant-digit radix sort with a
-//!   scratch buffer (default);
-//! * [`SortAlgorithm::AmericanFlag`] — in-place MSD byte sort (McIlroy,
-//!   Bostic & McIlroy), the variant the paper cites;
-//! * [`SortAlgorithm::Comparison`] — `sort_unstable_by_key`, the correctness
-//!   oracle and an ablation point.
+//! The sorter is a least-significant-digit radix sort with a scratch
+//! buffer: one stable counting pass per significant digit.  A large bin in
+//! a pool with more threads than bins is first split by one in-place MSD
+//! byte partition (the step of the American-flag sort of McIlroy, Bostic &
+//! McIlroy, which the paper cites), and its 256 buckets are then radix
+//! sorted in parallel.
 //!
 //! # SIMD kernels, digit planning and software prefetch
 //!
@@ -33,11 +31,11 @@
 //! peeking `SCATTER_PREFETCH_AHEAD` entries ahead.  Keys too wide for the
 //! plan (over `FUSED_MAX_PASSES · FUSED_MAX_DIGIT_BITS` bits) fall back to
 //! the classic per-byte passes, whose histogram still dispatches through
-//! [`simd::byte_histogram`] (as does the american-flag MSD partition
-//! count).  The scalar level runs the pre-SIMD per-byte code verbatim —
-//! fallback and bitwise oracle: a stable LSD sort's result depends only on
-//! the key order and input order, not on how the significant bits are cut
-//! into digits, so the planned path is a bitwise no-op relative to scalar.
+//! [`simd::byte_histogram`] (as does the MSD partition count).  The scalar
+//! level runs the pre-SIMD per-byte code verbatim — fallback and bitwise
+//! oracle: a stable LSD sort's result depends only on the key order and
+//! input order, not on how the significant bits are cut into digits, so the
+//! planned path is a bitwise no-op relative to scalar.
 //! Every kernel invocation is counted into [`KernelCounters`] and merged
 //! into [`PhaseStats::isa`](crate::profile::PhaseStats::isa), so telemetry
 //! proves which path ran.  The safety argument for the intrinsics lives in
@@ -48,7 +46,6 @@
 use rayon::prelude::*;
 
 use crate::bins::{BinnedTuples, Entry};
-use crate::config::SortAlgorithm;
 use crate::profile::StatsCollector;
 use crate::simd::{self, Isa, KernelCounters};
 use crate::workspace::ScratchSlabs;
@@ -84,22 +81,17 @@ pub(crate) const SCATTER_PREFETCH_AHEAD: usize = 16;
 /// slabs and resolves the ISA level from the config; this entry point
 /// serves direct callers (benchmarks, tests) that have no workspace at
 /// hand.
-pub fn sort_bins<V: Copy + Send + Sync>(
-    tuples: &mut BinnedTuples<V>,
-    algorithm: SortAlgorithm,
-    stats: &StatsCollector,
-) {
-    sort_bins_impl(tuples, algorithm, simd::active(), stats, None)
+pub fn sort_bins<V: Copy + Send + Sync>(tuples: &mut BinnedTuples<V>, stats: &StatsCollector) {
+    sort_bins_impl(tuples, simd::active(), stats, None)
 }
 
 /// [`sort_bins`] at an explicit [`Isa`] dispatch level.
 pub fn sort_bins_with<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
-    algorithm: SortAlgorithm,
     isa: Isa,
     stats: &StatsCollector,
 ) {
-    sort_bins_impl(tuples, algorithm, isa, stats, None)
+    sort_bins_impl(tuples, isa, stats, None)
 }
 
 /// Sorts every bin, leasing LSD-radix scratch from per-NUMA-domain slabs,
@@ -114,22 +106,20 @@ pub fn sort_bins_with<V: Copy + Send + Sync>(
 /// [`PhaseStats::bytes_allocated`](crate::profile::PhaseStats::bytes_allocated).
 pub fn sort_bins_slabbed<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
-    algorithm: SortAlgorithm,
     stats: &StatsCollector,
     slabs: &ScratchSlabs<'_, V>,
 ) {
-    sort_bins_impl(tuples, algorithm, simd::active(), stats, Some(slabs))
+    sort_bins_impl(tuples, simd::active(), stats, Some(slabs))
 }
 
 /// [`sort_bins_slabbed`] at an explicit [`Isa`] dispatch level.
 pub fn sort_bins_slabbed_with<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
-    algorithm: SortAlgorithm,
     isa: Isa,
     stats: &StatsCollector,
     slabs: &ScratchSlabs<'_, V>,
 ) {
-    sort_bins_impl(tuples, algorithm, isa, stats, Some(slabs))
+    sort_bins_impl(tuples, isa, stats, Some(slabs))
 }
 
 /// Sorts every bin of the expanded matrix by its packed key.
@@ -138,13 +128,11 @@ pub fn sort_bins_slabbed_with<V: Copy + Send + Sync>(
 /// *fewer* bins than threads (small products, or a single-bin
 /// configuration) per-bin parallelism cannot keep the pool busy, so large
 /// bins are additionally sorted with in-bin parallelism: one MSD byte
-/// partition whose 256 buckets are then sorted concurrently (radix
-/// algorithms), or a parallel comparison sort.  Every bin taking the in-bin
-/// parallel path is counted into `stats`
+/// partition whose 256 buckets are then sorted concurrently.  Every bin
+/// taking the in-bin parallel path is counted into `stats`
 /// ([`PhaseStats::par_sorted_bins`](crate::profile::PhaseStats::par_sorted_bins)).
 fn sort_bins_impl<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
-    algorithm: SortAlgorithm,
     isa: Isa,
     stats: &StatsCollector,
     slabs: Option<&ScratchSlabs<'_, V>>,
@@ -179,30 +167,29 @@ fn sort_bins_impl<V: Copy + Send + Sync>(
     // claiming keeps the phase's load balancing.  The scratch stream *is*
     // domain-local: each worker leases from its own domain's slab.
     slices.into_par_iter().for_each(|seg| {
-        let scratch = lease_scratch(slabs, seg.len(), algorithm, stats);
+        let scratch = lease_scratch(slabs, seg.len(), stats);
         if split_within_bins && seg.len() >= PAR_BIN_MIN {
             stats.record_par_sorted_bin();
-            par_sort_slice_in(seg, key_bytes, algorithm, isa, scratch, Some(stats))
+            par_sort_slice_in(seg, key_bytes, isa, scratch, Some(stats))
         } else {
             // Kernel invocations accumulate in a thread-local counter and
             // merge once per bin — the hot loops never touch an atomic.
             let mut ctr = KernelCounters::default();
-            sort_slice_in(seg, key_bytes, algorithm, isa, scratch, &mut ctr);
+            lsd_radix_sort_in(seg, key_bytes, isa, scratch, &mut ctr);
             stats.record_sort_kernels(&ctr);
         }
     });
 }
 
-/// Leases `len` scratch entries for one bin when the algorithm will use
-/// them (LSD radix above the insertion-sort cutoff); counts the heap
-/// fallback when the slabs cannot serve the lease.
+/// Leases `len` scratch entries for one bin when the sort will use them
+/// (above the insertion-sort cutoff); counts the heap fallback when the
+/// slabs cannot serve the lease.
 fn lease_scratch<'s, V: Copy + Send>(
     slabs: Option<&ScratchSlabs<'s, V>>,
     len: usize,
-    algorithm: SortAlgorithm,
     stats: &StatsCollector,
 ) -> Option<&'s mut [Entry<V>]> {
-    if algorithm != SortAlgorithm::LsdRadix || len <= SMALL_SORT {
+    if len <= SMALL_SORT {
         return None;
     }
     let slabs = slabs?;
@@ -218,18 +205,12 @@ fn lease_scratch<'s, V: Copy + Send>(
 /// [`sort_slice`], different schedule), dispatching SIMD kernels at the
 /// process-wide [`simd::active`] level.
 ///
-/// For the radix algorithms the bin is partitioned once by its most
-/// significant key byte — a counting pass plus in-place cycle permutation —
-/// and the 256 resulting buckets, which are already mutually ordered, are
-/// finished independently in parallel with the configured algorithm on the
-/// remaining bytes.  The comparison sort delegates to the pool's parallel
-/// quicksort.
-pub fn par_sort_slice<V: Copy + Send>(
-    seg: &mut [Entry<V>],
-    key_bytes: usize,
-    algorithm: SortAlgorithm,
-) {
-    par_sort_slice_in(seg, key_bytes, algorithm, simd::active(), None, None)
+/// The bin is partitioned once by its most significant key byte — a
+/// counting pass plus in-place cycle permutation — and the 256 resulting
+/// buckets, which are already mutually ordered, are radix sorted
+/// independently in parallel on the remaining bytes.
+pub fn par_sort_slice<V: Copy + Send>(seg: &mut [Entry<V>], key_bytes: usize) {
+    par_sort_slice_in(seg, key_bytes, simd::active(), None, None)
 }
 
 /// One MSD bucket of a parallel in-bin sort, paired with its (optional)
@@ -237,110 +218,76 @@ pub fn par_sort_slice<V: Copy + Send>(
 type BucketTask<'a, V> = (&'a mut [Entry<V>], Option<&'a mut [Entry<V>]>);
 
 /// [`par_sort_slice`] with an explicit ISA level, optional pre-leased LSD
-/// scratch of at least `seg.len()` entries (`None`, and the non-scratch
-/// algorithms, allocate as before), and an optional collector to merge the
-/// per-bucket kernel counters into.
+/// scratch of at least `seg.len()` entries (`None` allocates as before),
+/// and an optional collector to merge the per-bucket kernel counters into.
 fn par_sort_slice_in<V: Copy + Send>(
     seg: &mut [Entry<V>],
     key_bytes: usize,
-    algorithm: SortAlgorithm,
     isa: Isa,
     scratch: Option<&mut [Entry<V>]>,
     stats: Option<&StatsCollector>,
 ) {
     let key_bytes = key_bytes.clamp(1, 8);
-    match algorithm {
-        SortAlgorithm::Comparison => seg.par_sort_unstable_by_key(|e| e.key),
-        SortAlgorithm::LsdRadix | SortAlgorithm::AmericanFlag => {
-            let mut top_ctr = KernelCounters::default();
-            if key_bytes == 1 {
-                // Single significant byte: the MSD partition *is* the sort.
-                flag_sort_level(seg, 0, isa, &mut top_ctr);
-                if let Some(stats) = stats {
-                    stats.record_sort_kernels(&top_ctr);
-                }
-                return;
-            }
-            let top = (key_bytes - 1) as u32;
-            let (starts, ends) = msd_partition(seg, top, isa, &mut top_ctr);
-            if let Some(stats) = stats {
-                stats.record_sort_kernels(&top_ctr);
-            }
-            // Carve the bucket sub-slices (disjoint by construction), and
-            // the scratch into matching pieces when one was leased.
-            let mut buckets: Vec<BucketTask<'_, V>> = Vec::with_capacity(256);
-            let mut rest: &mut [Entry<V>] = seg;
-            let mut scratch_rest: Option<&mut [Entry<V>]> = scratch;
-            let mut consumed = 0usize;
-            for bucket in 0..256 {
-                let len = ends[bucket] - starts[bucket];
-                let (b, r) = rest.split_at_mut(len);
-                rest = r;
-                let piece = match scratch_rest.take() {
-                    Some(s) => {
-                        let (piece, r) = s.split_at_mut(len);
-                        scratch_rest = Some(r);
-                        Some(piece)
-                    }
-                    None => None,
-                };
-                buckets.push((b, piece));
-                consumed += len;
-            }
-            debug_assert_eq!(consumed, ends[255]);
-            buckets.into_par_iter().for_each(|(b, piece)| {
-                if b.len() > 1 {
-                    let mut ctr = KernelCounters::default();
-                    match algorithm {
-                        // Buckets share the top byte, so ordering the
-                        // remaining low bytes completes the sort.
-                        SortAlgorithm::LsdRadix => {
-                            lsd_radix_sort_in(b, key_bytes - 1, isa, piece, &mut ctr)
-                        }
-                        _ => flag_sort_level(b, top - 1, isa, &mut ctr),
-                    }
-                    if let Some(stats) = stats {
-                        stats.record_sort_kernels(&ctr);
-                    }
-                }
-            });
+    let mut top_ctr = KernelCounters::default();
+    if key_bytes == 1 {
+        // Single significant byte: the MSD partition *is* the sort.
+        flag_sort_level(seg, 0, isa, &mut top_ctr);
+        if let Some(stats) = stats {
+            stats.record_sort_kernels(&top_ctr);
         }
+        return;
     }
+    let top = (key_bytes - 1) as u32;
+    let (starts, ends) = msd_partition(seg, top, isa, &mut top_ctr);
+    if let Some(stats) = stats {
+        stats.record_sort_kernels(&top_ctr);
+    }
+    // Carve the bucket sub-slices (disjoint by construction), and the
+    // scratch into matching pieces when one was leased.
+    let mut buckets: Vec<BucketTask<'_, V>> = Vec::with_capacity(256);
+    let mut rest: &mut [Entry<V>] = seg;
+    let mut scratch_rest: Option<&mut [Entry<V>]> = scratch;
+    let mut consumed = 0usize;
+    for bucket in 0..256 {
+        let len = ends[bucket] - starts[bucket];
+        let (b, r) = rest.split_at_mut(len);
+        rest = r;
+        let piece = match scratch_rest.take() {
+            Some(s) => {
+                let (piece, r) = s.split_at_mut(len);
+                scratch_rest = Some(r);
+                Some(piece)
+            }
+            None => None,
+        };
+        buckets.push((b, piece));
+        consumed += len;
+    }
+    debug_assert_eq!(consumed, ends[255]);
+    buckets.into_par_iter().for_each(|(b, piece)| {
+        if b.len() > 1 {
+            // Buckets share the top byte, so ordering the remaining low
+            // bytes completes the sort.
+            let mut ctr = KernelCounters::default();
+            lsd_radix_sort_in(b, key_bytes - 1, isa, piece, &mut ctr);
+            if let Some(stats) = stats {
+                stats.record_sort_kernels(&ctr);
+            }
+        }
+    });
 }
 
-/// Sorts one bin's tuples by key with the selected algorithm, dispatching
-/// SIMD kernels at the process-wide [`simd::active`] level.
-pub fn sort_slice<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize, algorithm: SortAlgorithm) {
-    sort_slice_with(seg, key_bytes, algorithm, simd::active())
+/// Sorts one bin's tuples by key, dispatching SIMD kernels at the
+/// process-wide [`simd::active`] level.
+pub fn sort_slice<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize) {
+    sort_slice_with(seg, key_bytes, simd::active())
 }
 
 /// [`sort_slice`] at an explicit [`Isa`] dispatch level — the entry point
 /// the differential tests iterate over every supported level.
-pub fn sort_slice_with<V: Copy>(
-    seg: &mut [Entry<V>],
-    key_bytes: usize,
-    algorithm: SortAlgorithm,
-    isa: Isa,
-) {
+pub fn sort_slice_with<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize, isa: Isa) {
     let mut ctr = KernelCounters::default();
-    sort_slice_in(seg, key_bytes, algorithm, isa, None, &mut ctr)
-}
-
-/// [`sort_slice_with`] with optional pre-leased LSD scratch, counting
-/// kernel invocations into `ctr`.
-fn sort_slice_in<V: Copy>(
-    seg: &mut [Entry<V>],
-    key_bytes: usize,
-    algorithm: SortAlgorithm,
-    isa: Isa,
-    scratch: Option<&mut [Entry<V>]>,
-    ctr: &mut KernelCounters,
-) {
-    match algorithm {
-        SortAlgorithm::Comparison => seg.sort_unstable_by_key(|e| e.key),
-        SortAlgorithm::LsdRadix => lsd_radix_sort_in(seg, key_bytes, isa, scratch, ctr),
-        SortAlgorithm::AmericanFlag => american_flag_sort_with(seg, key_bytes, isa, ctr),
-    }
+    lsd_radix_sort_in(seg, key_bytes, isa, None, &mut ctr)
 }
 
 /// Threshold below which radix sorters fall back to insertion sort.
@@ -560,29 +507,9 @@ fn scatter_prefetched<V: Copy>(
     }
 }
 
-/// In-place MSD radix sort ("American flag sort"): permutes entries into 256
-/// buckets of the most significant byte, then recurses into each bucket;
-/// SIMD kernels dispatch at the process-wide [`simd::active`] level.
-pub fn american_flag_sort<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize) {
-    let mut ctr = KernelCounters::default();
-    american_flag_sort_with(seg, key_bytes, simd::active(), &mut ctr)
-}
-
-/// [`american_flag_sort`] with an explicit ISA level, counting kernel
-/// invocations into `ctr`.
-fn american_flag_sort_with<V: Copy>(
-    seg: &mut [Entry<V>],
-    key_bytes: usize,
-    isa: Isa,
-    ctr: &mut KernelCounters,
-) {
-    let key_bytes = key_bytes.clamp(1, 8);
-    flag_sort_level(seg, (key_bytes - 1) as u32, isa, ctr);
-}
-
 /// Partitions `seg` into 256 buckets of key byte `byte` (in-place
-/// cycle-following permutation); returns each bucket's `[start, end)`
-/// boundaries.
+/// cycle-following permutation, one step of an American-flag sort);
+/// returns each bucket's `[start, end)` boundaries.
 fn msd_partition<V: Copy>(
     seg: &mut [Entry<V>],
     byte: u32,
@@ -620,6 +547,8 @@ fn msd_partition<V: Copy>(
     (starts, ends)
 }
 
+/// In-place MSD radix sort of `seg` from key byte `byte` down (the
+/// American-flag sort), insertion-sorting small buckets.
 fn flag_sort_level<V: Copy>(seg: &mut [Entry<V>], byte: u32, isa: Isa, ctr: &mut KernelCounters) {
     if seg.len() <= SMALL_SORT {
         insertion_sort(seg);
@@ -667,44 +596,29 @@ mod tests {
             expected.sort_by_key(|e| e.key);
             let expected_keys: Vec<u64> = expected.iter().map(|e| e.key).collect();
 
-            for algo in [
-                SortAlgorithm::LsdRadix,
-                SortAlgorithm::AmericanFlag,
-                SortAlgorithm::Comparison,
-            ] {
-                let mut data = original.clone();
-                sort_slice(&mut data, key_bytes, algo);
-                assert!(is_sorted(&data), "{algo:?} failed to sort {bits}-bit keys");
-                let keys: Vec<u64> = data.iter().map(|e| e.key).collect();
-                assert_eq!(
-                    keys, expected_keys,
-                    "{algo:?} produced a different permutation"
-                );
-            }
+            let mut data = original.clone();
+            sort_slice(&mut data, key_bytes);
+            assert!(is_sorted(&data), "failed to sort {bits}-bit keys");
+            let keys: Vec<u64> = data.iter().map(|e| e.key).collect();
+            assert_eq!(keys, expected_keys, "produced a different permutation");
         }
     }
 
     #[test]
     fn all_isa_levels_sort_bitwise_identically() {
-        // The tentpole's core promise: every dispatch level, under every
-        // algorithm, is a *bitwise* no-op relative to the scalar oracle —
-        // not just "also sorted" (radix sorts are stable, so the full
-        // entry permutation must match, values included).
+        // The tentpole's core promise: every dispatch level is a *bitwise*
+        // no-op relative to the scalar oracle — not just "also sorted"
+        // (the radix sort is stable, so the full entry permutation must
+        // match, values included).
         for &bits in &[8u32, 20, 31, 48] {
             let original = random_entries(20_000, bits, 400 + bits as u64);
             let key_bytes = (bits as usize).div_ceil(8);
-            for algo in [
-                SortAlgorithm::LsdRadix,
-                SortAlgorithm::AmericanFlag,
-                SortAlgorithm::Comparison,
-            ] {
-                let mut oracle = original.clone();
-                sort_slice_with(&mut oracle, key_bytes, algo, Isa::Scalar);
-                for isa in Isa::supported() {
-                    let mut data = original.clone();
-                    sort_slice_with(&mut data, key_bytes, algo, isa);
-                    assert_eq!(data, oracle, "{algo:?} under {isa} diverged from scalar");
-                }
+            let mut oracle = original.clone();
+            sort_slice_with(&mut oracle, key_bytes, Isa::Scalar);
+            for isa in Isa::supported() {
+                let mut data = original.clone();
+                sort_slice_with(&mut data, key_bytes, isa);
+                assert_eq!(data, oracle, "{isa} diverged from scalar");
             }
         }
     }
@@ -731,7 +645,7 @@ mod tests {
                 layout: layout.clone(),
             };
             let stats = StatsCollector::new();
-            sort_bins_with(&mut tuples, SortAlgorithm::LsdRadix, isa, &stats);
+            sort_bins_with(&mut tuples, isa, &stats);
             assert!(is_sorted(&tuples.entries));
             let snap = stats.snapshot();
             if isa == Isa::Scalar {
@@ -758,44 +672,36 @@ mod tests {
                 }
             })
             .collect();
-        for algo in [SortAlgorithm::LsdRadix, SortAlgorithm::AmericanFlag] {
-            for isa in Isa::supported() {
-                let mut data = original.clone();
-                sort_slice_with(&mut data, 4, algo, isa);
-                assert!(data.iter().all(|e| e.val == e.key ^ 0xDEAD_BEEF));
-            }
+        for isa in Isa::supported() {
+            let mut data = original.clone();
+            sort_slice_with(&mut data, 4, isa);
+            assert!(data.iter().all(|e| e.val == e.key ^ 0xDEAD_BEEF));
         }
     }
 
     #[test]
     fn small_and_degenerate_inputs() {
-        for algo in [
-            SortAlgorithm::LsdRadix,
-            SortAlgorithm::AmericanFlag,
-            SortAlgorithm::Comparison,
-        ] {
-            let mut empty: Vec<Entry<f64>> = Vec::new();
-            sort_slice(&mut empty, 4, algo);
+        let mut empty: Vec<Entry<f64>> = Vec::new();
+        sort_slice(&mut empty, 4);
 
-            let mut one = vec![Entry { key: 7, val: 1.0 }];
-            sort_slice(&mut one, 4, algo);
-            assert_eq!(one[0].key, 7);
+        let mut one = vec![Entry { key: 7, val: 1.0 }];
+        sort_slice(&mut one, 4);
+        assert_eq!(one[0].key, 7);
 
-            let mut dup = vec![Entry { key: 5, val: 1.0 }; 100];
-            sort_slice(&mut dup, 4, algo);
-            assert!(is_sorted(&dup));
+        let mut dup = vec![Entry { key: 5, val: 1.0 }; 100];
+        sort_slice(&mut dup, 4);
+        assert!(is_sorted(&dup));
 
-            let mut rev: Vec<Entry<u32>> = (0..200)
-                .rev()
-                .map(|k| Entry {
-                    key: k as u64,
-                    val: k,
-                })
-                .collect();
-            sort_slice(&mut rev, 1, algo);
-            assert!(is_sorted(&rev));
-            assert_eq!(rev[0].val, 0);
-        }
+        let mut rev: Vec<Entry<u32>> = (0..200)
+            .rev()
+            .map(|k| Entry {
+                key: k as u64,
+                val: k,
+            })
+            .collect();
+        sort_slice(&mut rev, 1);
+        assert!(is_sorted(&rev));
+        assert_eq!(rev[0].val, 0);
     }
 
     #[test]
@@ -823,11 +729,7 @@ mod tests {
             compressed_len: vec![200, 200, 200],
             layout,
         };
-        sort_bins(
-            &mut tuples,
-            SortAlgorithm::LsdRadix,
-            &crate::profile::StatsCollector::new(),
-        );
+        sort_bins(&mut tuples, &crate::profile::StatsCollector::new());
         for b in 0..3 {
             assert!(is_sorted(
                 &tuples.entries[bin_offsets[b]..bin_offsets[b + 1]]
@@ -868,7 +770,7 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        pool.install(|| sort_bins(&mut tuples, SortAlgorithm::LsdRadix, &stats));
+        pool.install(|| sort_bins(&mut tuples, &stats));
         assert_eq!(
             stats.snapshot().par_sorted_bins,
             2,
@@ -894,19 +796,10 @@ mod tests {
                     .num_threads(threads)
                     .build()
                     .unwrap();
-                for algo in [
-                    SortAlgorithm::LsdRadix,
-                    SortAlgorithm::AmericanFlag,
-                    SortAlgorithm::Comparison,
-                ] {
-                    let mut data = original.clone();
-                    pool.install(|| par_sort_slice(&mut data, key_bytes, algo));
-                    let keys: Vec<u64> = data.iter().map(|e| e.key).collect();
-                    assert_eq!(
-                        keys, expected_keys,
-                        "{algo:?} with {threads} threads on {bits}-bit keys"
-                    );
-                }
+                let mut data = original.clone();
+                pool.install(|| par_sort_slice(&mut data, key_bytes));
+                let keys: Vec<u64> = data.iter().map(|e| e.key).collect();
+                assert_eq!(keys, expected_keys, "{threads} threads on {bits}-bit keys");
             }
         }
     }
@@ -917,9 +810,6 @@ mod tests {
         let original = random_entries(2000, 24, 77);
         let mut a = original.clone();
         lsd_radix_sort(&mut a, 3);
-        let mut b = original.clone();
-        american_flag_sort(&mut b, 3);
         assert!(is_sorted(&a));
-        assert!(is_sorted(&b));
     }
 }

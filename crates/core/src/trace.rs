@@ -156,7 +156,7 @@ pub enum SpanName {
     EngineMultiply = 0,
     /// `SpGemm::multiply_csc*` (pre-converted A).
     EngineMultiplyCsc = 1,
-    /// Masked multiply funnel.
+    /// A masked multiply on any engine, transpose included.
     EngineMasked = 2,
     /// Planner kernel selection (`Planner::decide`).
     PlannerDecide = 3,
@@ -172,7 +172,7 @@ pub enum SpanName {
     PhaseCompress = 8,
     /// Assemble phase: CSR construction.
     PhaseAssemble = 9,
-    /// Masked pipeline's bin filtering pass.
+    /// The PB pipeline's mask stage, nested in `phase.compress`.
     PhaseMask = 10,
     /// Workspace lease checkout (`arg` = 1 on a pooled hit, 0 otherwise).
     WorkspaceCheckout = 11,

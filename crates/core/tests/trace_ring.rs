@@ -1,7 +1,8 @@
 //! Trace-ring behaviour under pressure, and the tracer's end-to-end
 //! guarantees against the real PB pipeline: wraparound accounting,
 //! concurrent emission without torn events, differential
-//! traced-vs-untraced products, and span/`PhaseStats` agreement.
+//! traced-vs-untraced products, and span/`PhaseStats` agreement for plain
+//! and masked multiplies.
 //!
 //! Everything runs in ONE `#[test]`: the tracer is process-global state
 //! (enabled flag, ring capacity, thread registry), and the default Rust
@@ -11,7 +12,7 @@ use std::sync::Arc;
 
 use pb_sparse::PlusTimes;
 use pb_spgemm::trace::{self, EventKind, SpanName, ThreadTrace, TraceSnapshot};
-use pb_spgemm::{Algorithm, SpGemm, Workspace};
+use pb_spgemm::{Algorithm, ProfileSink, SpGemm, Workspace};
 
 /// The ring registered by the named thread, or a panic naming the miss.
 fn ring_of<'a>(snap: &'a TraceSnapshot, name: &str) -> &'a ThreadTrace {
@@ -177,56 +178,100 @@ fn rings_survive_pressure_and_spans_agree_with_phase_stats() {
     // Each phase span brackets exactly the `Instant` window feeding
     // `PhaseTimings`, so the two clocks must agree to within 5% (plus a
     // small absolute floor for sub-100us phases on a noisy scheduler).
+    // `Masked::multiply` returns only the product, so a sink captures the
+    // masked multiply's profile; its mask stage runs inside the compress
+    // window and span.
     const CORR: u64 = 4242;
+    const MASKED_CORR: u64 = 4343;
     let (_, profile) = trace::with_corr(CORR, || {
         engine.multiply_with_profile::<PlusTimes<f64>>(&a, &a)
     });
+    let sink = ProfileSink::new();
+    let masked_engine = engine.clone().profile(Arc::clone(&sink));
+    trace::with_corr(MASKED_CORR, || masked_engine.mask(&a).multiply(&a, &a));
+    let masked_profile = sink.latest().expect("the sink records masked multiplies");
     let snap = trace::snapshot();
     trace::set_enabled(false);
-    let span_nanos = |name: SpanName| -> u64 {
-        let mut total = 0u64;
-        for t in &snap.threads {
-            let mut begin = None;
-            for e in t.events.iter().filter(|e| e.corr == CORR && e.name == name) {
-                match e.kind {
-                    EventKind::Begin => begin = Some(e.nanos),
-                    EventKind::End => {
-                        let b = begin
-                            .take()
-                            .expect("E without B for a thread-confined span");
-                        total += e.nanos - b;
+    // Closed (begin, end) intervals of one span name under one correlation
+    // id, per thread.
+    let intervals = |corr: u64, name: SpanName| -> Vec<Vec<(u64, u64)>> {
+        snap.threads
+            .iter()
+            .map(|t| {
+                let mut out = Vec::new();
+                let mut begin = None;
+                for e in t.events.iter().filter(|e| e.corr == corr && e.name == name) {
+                    match e.kind {
+                        EventKind::Begin => begin = Some(e.nanos),
+                        EventKind::End => {
+                            let b = begin
+                                .take()
+                                .expect("E without B for a thread-confined span");
+                            out.push((b, e.nanos));
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
-            }
-        }
-        total
+                out
+            })
+            .collect()
     };
-    let timings = &profile.timings;
-    let phases = [
-        (SpanName::PhaseSymbolic, timings.symbolic),
-        (SpanName::PhaseExpand, timings.expand),
-        (SpanName::PhaseSort, timings.sort),
-        (SpanName::PhaseCompress, timings.compress),
-        (SpanName::PhaseAssemble, timings.assemble),
-    ];
-    let mut span_sum = 0u64;
-    let mut stat_sum = 0u64;
-    for (name, timing) in phases {
-        let span = span_nanos(name);
-        let stat = timing.as_nanos() as u64;
-        assert!(span > 0, "no {} span found for corr {CORR}", name.label());
-        let diff = span.abs_diff(stat);
+    let span_nanos = |corr: u64, name: SpanName| -> u64 {
+        intervals(corr, name)
+            .iter()
+            .flatten()
+            .map(|(b, e)| e - b)
+            .sum()
+    };
+    for (corr, timings) in [
+        (CORR, &profile.timings),
+        (MASKED_CORR, &masked_profile.timings),
+    ] {
+        let phases = [
+            (SpanName::PhaseSymbolic, timings.symbolic),
+            (SpanName::PhaseExpand, timings.expand),
+            (SpanName::PhaseSort, timings.sort),
+            (SpanName::PhaseCompress, timings.compress),
+            (SpanName::PhaseAssemble, timings.assemble),
+        ];
+        let mut span_sum = 0u64;
+        let mut stat_sum = 0u64;
+        for (name, timing) in phases {
+            let span = span_nanos(corr, name);
+            let stat = timing.as_nanos() as u64;
+            assert!(span > 0, "no {} span found for corr {corr}", name.label());
+            let diff = span.abs_diff(stat);
+            assert!(
+                diff as f64 <= (stat as f64 * 0.05).max(20_000.0),
+                "{} span ({span}ns) and PhaseStats ({stat}ns) disagree by {diff}ns",
+                name.label()
+            );
+            span_sum += span;
+            stat_sum += stat;
+        }
         assert!(
-            diff as f64 <= (stat as f64 * 0.05).max(20_000.0),
-            "{} span ({span}ns) and PhaseStats ({stat}ns) disagree by {diff}ns",
-            name.label()
+            span_sum.abs_diff(stat_sum) as f64 <= stat_sum as f64 * 0.05,
+            "phase span total ({span_sum}ns) strays more than 5% from PhaseStats ({stat_sum}ns)"
         );
-        span_sum += span;
-        stat_sum += stat;
+    }
+
+    // --- The mask stage nests in the compress phase. ----------------------
+    let compress = intervals(MASKED_CORR, SpanName::PhaseCompress);
+    let masks = intervals(MASKED_CORR, SpanName::PhaseMask);
+    assert!(
+        masks.iter().flatten().next().is_some(),
+        "the masked multiply emitted no phase.mask span"
+    );
+    for (thread, spans) in masks.iter().enumerate() {
+        for &(b, e) in spans {
+            assert!(
+                compress[thread].iter().any(|&(cb, ce)| cb <= b && e <= ce),
+                "phase.mask [{b}, {e}] lies outside every phase.compress span"
+            );
+        }
     }
     assert!(
-        span_sum.abs_diff(stat_sum) as f64 <= stat_sum as f64 * 0.05,
-        "phase span total ({span_sum}ns) strays more than 5% from PhaseStats ({stat_sum}ns)"
+        span_nanos(CORR, SpanName::PhaseMask) == 0,
+        "an unmasked multiply must not run the mask stage"
     );
 }

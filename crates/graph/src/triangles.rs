@@ -19,9 +19,8 @@ use pb_spgemm::SpGemm;
 /// Canonicalises an arbitrary sparse matrix into a simple undirected 0/1
 /// adjacency matrix: symmetrised pattern, no self loops, unit values.
 ///
-/// Exposed because several downstream kernels (and the masked-multiply
-/// triangle formulation in the integration tests) need the same
-/// canonical form.
+/// Exposed because betweenness centrality, and callers that build the
+/// masked product `(A·A) ∘ A` themselves, need the same canonical form.
 pub fn to_simple_undirected<T: pb_sparse::Scalar>(a: &Csr<T>) -> Csr<f64> {
     assert_eq!(
         a.nrows(),
@@ -34,10 +33,10 @@ pub fn to_simple_undirected<T: pb_sparse::Scalar>(a: &Csr<T>) -> Csr<f64> {
 }
 
 /// The masked common-neighbour matrix `(A·A) ∘ A` for a simple undirected
-/// adjacency matrix, computed with the given engine.
+/// adjacency matrix, computed with the given engine's masked multiply (PB
+/// drops the unmasked entries before assembly).
 fn common_neighbours(a: &Csr<f64>, engine: &SpGemm) -> Csr<f64> {
-    let squared = engine.multiply(a, a);
-    ops::mask_by_pattern(&squared, a)
+    engine.mask(a).multiply(a, a)
 }
 
 /// Total number of triangles in the graph whose (possibly directed, possibly

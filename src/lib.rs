@@ -8,8 +8,7 @@
 //! * [`gen`] — deterministic matrix generators (`pb-gen`);
 //! * [`baseline`] — Heap/Hash/HashVec/SPA/ESC/outer-heap SpGEMM baselines
 //!   (`pb-baseline`);
-//! * [`spgemm`] — the PB-SpGEMM algorithm itself, including the masked and
-//!   row-partitioned variants (`pb-spgemm`);
+//! * [`spgemm`] — the PB-SpGEMM algorithm itself (`pb-spgemm`);
 //! * [`spmv`] — SpMV kernels, including the propagation-blocking SpMV the
 //!   paper's technique originates from (`pb-spmv`);
 //! * [`graph`] — graph-analytics kernels built on the SpGEMM engines

@@ -11,12 +11,10 @@
 //!   one sweep) against the scalar sweep *and* an independent per-digit
 //!   recount — over whatever plan [`simd::plan_lsd`] schedules for the
 //!   generated key width;
-//! * [`sort::sort_slice_with`] under each dispatch level and each radix
-//!   algorithm against the scalar run of the same algorithm, asserting
-//!   *bitwise* equal output (keys and values) — the kernels only reorder
-//!   bookkeeping, so even unstable tie orders must come out identical — plus
-//!   sortedness, multiset preservation, and LSD stability against a
-//!   tie-broken comparison sort.
+//! * [`sort::sort_slice_with`] under each dispatch level against the
+//!   scalar run, asserting *bitwise* equal output (keys and values) — the
+//!   kernels only reorder bookkeeping — plus sortedness, multiset
+//!   preservation, and LSD stability against a tie-broken comparison sort.
 //!
 //! The strategies deliberately cover the degenerate shapes the kernels
 //! special-case: empty and single-entry slices, all-equal keys (one
@@ -28,7 +26,7 @@
 use proptest::prelude::*;
 
 use pb_spgemm_suite::spgemm::sort;
-use pb_spgemm_suite::spgemm::{simd, Entry, SortAlgorithm};
+use pb_spgemm_suite::spgemm::{simd, Entry};
 
 /// Builds entries whose value records the original position, so the sort
 /// comparisons below also prove key/value pairs are never separated.
@@ -126,42 +124,34 @@ fn check_fused_pipeline(seg: &[Entry<u32>]) {
     }
 }
 
-/// Asserts, per algorithm: the scalar run is correctly sorted and preserves
-/// the key/value multiset, and every SIMD level reproduces the scalar run
-/// *bitwise* — the kernels only restructure bookkeeping, so even unstable
-/// tie orders (american-flag) must come out identical.
+/// Asserts: the scalar run is correctly sorted, preserves the key/value
+/// multiset and is stable, and every SIMD level reproduces the scalar run
+/// *bitwise* — the kernels only restructure bookkeeping.
 fn check_sorts(entries: &[Entry<u32>], key_bytes: usize) {
     let mut multiset = entries.to_vec();
     multiset.sort_by_key(|e| (e.key, e.val));
-    for algorithm in [SortAlgorithm::LsdRadix, SortAlgorithm::AmericanFlag] {
-        let mut oracle = entries.to_vec();
-        sort::sort_slice_with(&mut oracle, key_bytes, algorithm, simd::Isa::Scalar);
-        assert!(
-            oracle.windows(2).all(|w| w[0].key <= w[1].key),
-            "{algorithm:?}/scalar output not sorted (len={})",
+    let mut oracle = entries.to_vec();
+    sort::sort_slice_with(&mut oracle, key_bytes, simd::Isa::Scalar);
+    assert!(
+        oracle.windows(2).all(|w| w[0].key <= w[1].key),
+        "scalar output not sorted (len={})",
+        entries.len()
+    );
+    let mut tied = oracle.clone();
+    tied.sort_by_key(|e| (e.key, e.val));
+    assert_eq!(tied, multiset, "scalar run lost or forged entries");
+    // LSD radix is stable: ties keep insertion (= val) order, so the
+    // tie-broken comparison sort is bit-exact for it.
+    assert_eq!(oracle, multiset, "scalar run is no longer stable");
+    for isa in simd::Isa::supported() {
+        let mut seg = entries.to_vec();
+        sort::sort_slice_with(&mut seg, key_bytes, isa);
+        assert_eq!(
+            seg,
+            oracle,
+            "{isa} diverged from the scalar oracle (len={}, key_bytes={key_bytes})",
             entries.len()
         );
-        let mut tied = oracle.clone();
-        tied.sort_by_key(|e| (e.key, e.val));
-        assert_eq!(
-            tied, multiset,
-            "{algorithm:?}/scalar lost or forged entries"
-        );
-        if algorithm == SortAlgorithm::LsdRadix {
-            // LSD radix is stable: ties keep insertion (= val) order, so the
-            // tie-broken comparison sort is bit-exact for it.
-            assert_eq!(oracle, multiset, "LsdRadix/scalar is no longer stable");
-        }
-        for isa in simd::Isa::supported() {
-            let mut seg = entries.to_vec();
-            sort::sort_slice_with(&mut seg, key_bytes, algorithm, isa);
-            assert_eq!(
-                seg,
-                oracle,
-                "{algorithm:?}/{isa} diverged from the scalar oracle (len={}, key_bytes={key_bytes})",
-                entries.len()
-            );
-        }
     }
 }
 
