@@ -16,20 +16,23 @@
 //!    [`Workspace`](crate::Workspace) arena — same-shape tiles reuse the
 //!    buffers, so steady-state tile processing allocates nothing.
 //! 3. **Hierarchical PB accumulation** — the partial products of one output
-//!    tile are merged by a *second* propagation-blocking pass: tuples are
-//!    binned by contiguous local-row ranges (sequential writes per bin),
-//!    then each bin is sorted and reduced independently.  Partials are
-//!    visited in ascending `k`, and the in-bin sort is stable, so the
-//!    floating-point accumulation order is deterministic — independent of
-//!    thread count and of the tile grid for exactly-representable values.
+//!    tile are merged by the PB pipeline's own back half, one level up.
+//!    Row-range bins of about `ACC_TUPLES_PER_BIN` tuples are sized from
+//!    the partials' row pointers; then, bins in parallel on the caller's
+//!    pool, each bin is filled from the partials in ascending `k`, stably
+//!    LSD-sorted and compressed while it is in cache, and
+//!    [`crate::assemble`] writes the tile.  Equal `(row, col)`
+//!    keys therefore fold in ascending `k` whatever the thread count, so
+//!    the sums are deterministic, and bit-identical across tile grids for
+//!    exactly-representable values.
 //! 4. **Spill** — tiles live in a [`TileStore`] governed by a byte budget
 //!    ([`OOC_BUDGET_ENV`] / [`TiledConfig`] setter).  When an insert would
 //!    exceed the budget, least-recently-used tiles are serialised (PBSM v2,
 //!    see [`pb_sparse::binfmt`]) and appended to a scratch file; fetches of
 //!    spilled tiles memory-map the scratch file back in
-//!    ([`pb_sparse::mmapio`]).  Peak resident bytes are therefore bounded
-//!    by `budget + one tile` and telemetered
-//!    ([`TiledReport::resident_high_water`]).
+//!    ([`pb_sparse::mmapio`]) and decode each section in bulk.  Peak
+//!    resident bytes are therefore bounded by `budget + one tile` and
+//!    telemetered ([`TiledReport::resident_high_water`]).
 //!
 //! Budget semantics: the budget governs the **tile store** of one multiply
 //! (inputs' tiles plus accumulated output tiles).  It is a *per-multiply*
@@ -49,12 +52,17 @@ use pb_sparse::binfmt::{read_csr_from, write_csr_to, BinaryScalar};
 use pb_sparse::mmapio::Mapping;
 use pb_sparse::ops::mask_by_pattern;
 use pb_sparse::{Csr, Index, Scalar, Semiring, SparseError};
+use rayon::prelude::*;
 
+use crate::bins::{BinLayout, BinnedTuples, Entry};
+use crate::config::BinMapping;
 use crate::engine::SpGemm;
 use crate::error::PbError;
-use crate::profile::PhaseStats;
+use crate::profile::{PhaseStats, StatsCollector};
+use crate::simd::Isa;
 use crate::topology::balanced_boundaries;
 use crate::trace::{self, SpanName};
+use crate::{assemble, compress, sort};
 
 /// Environment knob: tile-store byte budget in MiB for out-of-core
 /// multiplies configured from the environment.
@@ -500,93 +508,101 @@ fn derive_grid<TA: BinaryScalar, TB: BinaryScalar>(
 // Hierarchical-PB accumulation
 // ---------------------------------------------------------------------------
 
-/// Merges the partial products of one output tile with a second
-/// propagation-blocking pass: tuples are binned by contiguous local-row
-/// ranges (sequential appends per bin), then each bin is stably sorted by
-/// `(row, col)` and reduced with `S::add` in arrival (ascending `k`) order —
-/// a deterministic accumulation order regardless of grid or threads.
+/// Merges the partial products of one output tile, visited in ascending
+/// `k`, with the PB pipeline's own back half.  Row-range bins are sized
+/// from the partials' `rowptr`s; then, bins in parallel, each bin is filled
+/// with its rows' tuples, stably LSD-sorted ([`sort::sort_slice_with`]) and
+/// compressed ([`compress::compress_slice`]) while it is in cache, and
+/// [`assemble::assemble`] writes the tile.
+///
+/// The sums are bit-identical whatever the pool's thread count: equal
+/// `(row, col)` keys enter a bin in ascending `k`, the LSD sort keeps that
+/// order and the compress folds left to right.  `sort::sort_bins` must not
+/// be used here: with fewer bins than threads it splits a bin with an
+/// unstable in-place MSD partition.
 fn accumulate_partials<S: Semiring>(
     tile_rows: usize,
     tile_cols: usize,
-    partials: &[Csr<S::Elem>],
+    mut partials: Vec<Csr<S::Elem>>,
+    isa: Isa,
     merged_tuples: &mut u64,
 ) -> Csr<S::Elem> {
-    let total: usize = partials.iter().map(|p| p.nnz()).sum();
+    let total: usize = partials.iter().map(Csr::nnz).sum();
     *merged_tuples += total as u64;
-    if partials.is_empty() || total == 0 {
-        return Csr::empty(tile_rows, tile_cols);
-    }
-    if partials.len() == 1 {
-        return partials[0].clone();
-    }
-
-    let nbins = (total / ACC_TUPLES_PER_BIN + 1)
-        .clamp(1, 256)
-        .min(tile_rows.max(1));
-    let rows_per_bin = tile_rows.div_ceil(nbins).max(1);
-    let nbins = tile_rows.div_ceil(rows_per_bin).max(1);
-
-    // Propagate: one sequential append stream per row-range bin.
-    let mut counts = vec![0usize; nbins];
-    for part in partials {
-        for row in 0..part.nrows() {
-            counts[row / rows_per_bin] += part.row(row).0.len();
-        }
-    }
-    let mut bins: Vec<Vec<(Index, Index, S::Elem)>> =
-        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for part in partials {
-        for row in 0..part.nrows() {
-            let (cols, vals) = part.row(row);
-            let bin = &mut bins[row / rows_per_bin];
-            for (&c, &v) in cols.iter().zip(vals) {
-                bin.push((row as Index, c, v));
-            }
-        }
+    match partials.len() {
+        0 => return Csr::empty(tile_rows, tile_cols),
+        1 => return partials.pop().expect("exactly one partial"),
+        _ => {}
     }
 
-    // Reduce each bin independently; bins cover ascending disjoint row
-    // ranges, so their outputs concatenate into the tile's CSR directly.
-    let mut rowptr = Vec::with_capacity(tile_rows + 1);
-    rowptr.push(0usize);
-    let mut colidx: Vec<Index> = Vec::new();
-    let mut values: Vec<S::Elem> = Vec::new();
-    let mut next_row = 0usize;
-    for (bin_idx, bin) in bins.iter_mut().enumerate() {
-        // Stable: equal (row, col) keys keep their ascending-k arrival order.
-        bin.sort_by_key(|&(r, c, _)| (r, c));
-        let bin_end_row = ((bin_idx + 1) * rows_per_bin).min(tile_rows);
-        let mut it = bin.iter().peekable();
-        while let Some(&(row, col, v)) = it.next() {
-            let row = row as usize;
-            while next_row <= row {
-                rowptr.push(colidx.len());
-                next_row += 1;
-            }
-            let mut acc = v;
-            while let Some(&&(r2, c2, v2)) = it.peek() {
-                if r2 as usize == row && c2 == col {
-                    acc = S::add(acc, v2);
-                    it.next();
-                } else {
-                    break;
+    let layout = BinLayout::new(
+        tile_rows,
+        tile_cols,
+        total / ACC_TUPLES_PER_BIN + 1,
+        BinMapping::Range,
+    );
+    let nbins = layout.nbins();
+    let bin_rows = |b: usize| {
+        let r0 = layout.bin_row_start(b).min(tile_rows);
+        r0..r0 + layout.bin_row_count(b)
+    };
+    let mut bin_offsets = Vec::with_capacity(nbins + 1);
+    bin_offsets.push(0usize);
+    for b in 0..nbins {
+        let rows = bin_rows(b);
+        let len: usize = partials
+            .iter()
+            .map(|p| p.rowptr()[rows.end] - p.rowptr()[rows.start])
+            .sum();
+        bin_offsets.push(bin_offsets[b] + len);
+    }
+
+    let key_bytes = layout.key_bytes() as usize;
+    let zero = Entry {
+        key: 0,
+        val: S::zero(),
+    };
+    let mut entries = vec![zero; total];
+    let mut bins: Vec<&mut [Entry<S::Elem>]> = Vec::with_capacity(nbins);
+    let mut rest = entries.as_mut_slice();
+    for b in 0..nbins {
+        let (seg, r) = rest.split_at_mut(bin_offsets[b + 1] - bin_offsets[b]);
+        bins.push(seg);
+        rest = r;
+    }
+    let compressed_len: Vec<usize> = bins
+        .into_par_iter()
+        .enumerate()
+        .map(|(b, seg)| {
+            let mut n = 0;
+            for part in &partials {
+                for row in bin_rows(b) {
+                    let (cols, vals) = part.row(row);
+                    let row_key = layout.pack_row(row as Index);
+                    let dst = &mut seg[n..n + cols.len()];
+                    for ((slot, &c), &v) in dst.iter_mut().zip(cols).zip(vals) {
+                        *slot = Entry {
+                            key: row_key | c as u64,
+                            val: v,
+                        };
+                    }
+                    n += cols.len();
                 }
             }
-            colidx.push(col);
-            values.push(acc);
-            *rowptr.last_mut().expect("rowptr non-empty") = colidx.len();
-        }
-        while next_row < bin_end_row {
-            rowptr.push(colidx.len());
-            next_row += 1;
-        }
-    }
-    while next_row < tile_rows {
-        rowptr.push(colidx.len());
-        next_row += 1;
-    }
-    debug_assert_eq!(rowptr.len(), tile_rows + 1);
-    Csr::from_parts_unchecked(tile_rows, tile_cols, rowptr, colidx, values)
+            debug_assert_eq!(n, seg.len(), "bin {b} was sized from the rowptrs");
+            sort::sort_slice_with(seg, key_bytes, isa);
+            compress::compress_slice::<S>(seg)
+        })
+        .collect();
+    drop(partials);
+
+    let tuples = BinnedTuples {
+        entries,
+        bin_offsets,
+        compressed_len,
+        layout,
+    };
+    assemble::assemble(&tuples, &StatsCollector::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -694,12 +710,13 @@ where
 
     // Compute: every output tile is the hierarchical-PB accumulation of its
     // q partial products, visited in ascending k.
-    let mut partials: Vec<Csr<S::Elem>> = Vec::with_capacity(q);
+    let isa = engine.pb_config().resolve_simd();
+    let mut nnz_c = 0usize;
     for i in 0..p {
         let tile_rows = row_bounds[i + 1] - row_bounds[i];
         for j in 0..r {
             let tile_cols = col_bounds[j + 1] - col_bounds[j];
-            partials.clear();
+            let mut partials: Vec<Csr<S::Elem>> = Vec::with_capacity(q);
             for k in 0..q {
                 let a_tile = store.fetch(TileKey {
                     kind: 0,
@@ -722,8 +739,11 @@ where
                 report.stats.workspace_hits += profile.stats.workspace_hits;
                 report.stats.huge_page_bytes += profile.stats.huge_page_bytes;
                 report.stats.flushes += profile.stats.flushes;
+                report.stats.flushed_tuples += profile.stats.flushed_tuples;
                 report.stats.local_flushes += profile.stats.local_flushes;
+                report.stats.local_flushed_tuples += profile.stats.local_flushed_tuples;
                 report.stats.remote_flushes += profile.stats.remote_flushes;
+                report.stats.remote_flushed_tuples += profile.stats.remote_flushed_tuples;
                 if c_part.nnz() > 0 {
                     partials.push(c_part);
                 }
@@ -733,7 +753,8 @@ where
                 let acc = accumulate_partials::<S>(
                     tile_rows,
                     tile_cols,
-                    &partials,
+                    partials,
+                    isa,
                     &mut report.accumulated_tuples,
                 );
                 match mask {
@@ -750,6 +771,7 @@ where
                     }
                 }
             };
+            nnz_c += acc.nnz();
             store.insert(
                 TileKey {
                     kind: 2,
@@ -767,8 +789,8 @@ where
         let _span = trace::span(SpanName::TiledAssemble);
         let mut rowptr = Vec::with_capacity(a.nrows() + 1);
         rowptr.push(0usize);
-        let mut colidx: Vec<Index> = Vec::new();
-        let mut values: Vec<S::Elem> = Vec::new();
+        let mut colidx: Vec<Index> = Vec::with_capacity(nnz_c);
+        let mut values: Vec<S::Elem> = Vec::with_capacity(nnz_c);
         for i in 0..p {
             let tiles: Vec<Arc<Csr<S::Elem>>> = (0..r)
                 .map(|j| {
@@ -904,6 +926,112 @@ mod tests {
             assert_eq!(again.rowptr(), first.rowptr());
             assert_eq!(again.colidx(), first.colidx());
             assert_eq!(bits(&again), bits(&first));
+        }
+    }
+
+    /// `parts` random `rows × cols` partials; each keeps a column with
+    /// probability 5/8.  Values have random signs and magnitudes from 1e-8
+    /// to 1e8, so a sum of colliding entries depends on its order.
+    fn random_partials(rows: usize, cols: usize, parts: usize, seed: u64) -> Vec<Csr<f64>> {
+        let mut rng = pb_gen::Xoshiro256pp::new(seed);
+        (0..parts)
+            .map(|_| {
+                let mut rowptr = vec![0usize];
+                let (mut colidx, mut values) = (Vec::new(), Vec::new());
+                for _ in 0..rows {
+                    for c in 0..cols as Index {
+                        if rng.gen_range(8) < 5 {
+                            let magnitude = 10f64.powi(rng.gen_range(17) as i32 - 8);
+                            let sign = if rng.gen_range(2) == 0 { 1.0 } else { -1.0 };
+                            colidx.push(c);
+                            values.push(sign * magnitude * (1.0 + rng.next_f64()));
+                        }
+                    }
+                    rowptr.push(colidx.len());
+                }
+                Csr::from_parts(rows, cols, rowptr, colidx, values).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every `(row, col)` sum folded left to right over `partials` in the
+    /// given order, written independently of the merge.
+    fn fold_sums<'a>(
+        partials: impl Iterator<Item = &'a Csr<f64>>,
+    ) -> std::collections::BTreeMap<(usize, Index), f64> {
+        let mut sums = std::collections::BTreeMap::new();
+        for part in partials {
+            for row in 0..part.nrows() {
+                let (cols, vals) = part.row(row);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    sums.entry((row, c))
+                        .and_modify(|s: &mut f64| *s += v)
+                        .or_insert(v);
+                }
+            }
+        }
+        sums
+    }
+
+    #[test]
+    fn merge_folds_in_ascending_k_on_every_pool() {
+        // 2000 rows: 8 bins, more than any pool below has threads.  2 rows
+        // and 100 000 tuples: 2 bins of about 50 000 >= PAR_BIN_MIN tuples,
+        // fewer bins than the 4-thread pool has threads — the shape where
+        // `sort::sort_bins` would reorder equal keys.
+        for (rows, cols) in [(2000, 32), (2, 20_000)] {
+            let partials = random_partials(rows, cols, 4, rows as u64);
+            let total: usize = partials.iter().map(Csr::nnz).sum();
+            let expected = fold_sums(partials.iter());
+            assert_ne!(
+                expected.values().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                fold_sums(partials.iter().rev())
+                    .values()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                "the sums must depend on the fold order"
+            );
+            let layout = BinLayout::new(
+                rows,
+                cols,
+                total / ACC_TUPLES_PER_BIN + 1,
+                BinMapping::Range,
+            );
+            if rows == 2 {
+                assert_eq!(layout.nbins(), 2);
+                assert!(total / 2 >= sort::PAR_BIN_MIN, "{total} tuples");
+            } else {
+                assert!(layout.nbins() > 4, "{} bins", layout.nbins());
+            }
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for isa in Isa::supported() {
+                    let mut merged = 0;
+                    let c = pool.install(|| {
+                        accumulate_partials::<PlusTimes<f64>>(
+                            rows,
+                            cols,
+                            partials.clone(),
+                            isa,
+                            &mut merged,
+                        )
+                    });
+                    let context = format!("{rows}x{cols}, {threads} threads, {isa}");
+                    assert_eq!(merged, total as u64, "{context}");
+                    assert_eq!(c.nnz(), expected.len(), "{context}");
+                    let got = (0..rows).flat_map(|row| {
+                        let (cols, vals) = c.row(row);
+                        cols.iter().zip(vals).map(move |(&c, &v)| ((row, c), v))
+                    });
+                    for (((rc, v), (erc, ev)), t) in got.zip(&expected).zip(0..) {
+                        assert_eq!(rc, *erc, "{context}: entry {t}");
+                        assert_eq!(v.to_bits(), ev.to_bits(), "{context}: {rc:?}");
+                    }
+                }
+            }
         }
     }
 

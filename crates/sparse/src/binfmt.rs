@@ -181,8 +181,8 @@ fn write_header<W: Write>(
     Ok(())
 }
 
-// rowptr, colidx and values are written in chunks to bound the staging
-// buffer for very large matrices.
+// rowptr, colidx and values are written and read in chunks of this many
+// elements, to bound the staging buffer for very large matrices.
 const CHUNK: usize = 1 << 16;
 
 fn write_sections<W: Write, T: BinaryScalar>(
@@ -300,15 +300,9 @@ pub fn read_csr_from<R: Read, T: BinaryScalar>(mut r: R) -> Result<Csr<T>, Spars
     if let Some(l) = layout {
         skip(&mut r, l.rowptr_off - HEADER_BYTES, "section padding")?;
     }
-    // Capacities are capped: the stream, not the untrusted header, bounds
-    // memory — a short file fails at the next read, long before a huge
-    // declared count could drive pre-allocation anywhere near it.
-    let mut rowptr = Vec::with_capacity((nrows + 1).min(CHUNK));
-    let mut buf = vec![0u8; 8];
-    for _ in 0..=nrows {
-        read_exact(&mut r, &mut buf, "rowptr")?;
-        rowptr.push(u64::from_le_bytes(buf[..8].try_into().expect("8-byte buffer")) as usize);
-    }
+    let rowptr = read_section(&mut r, nrows + 1, 8, "rowptr", |b| {
+        u64::from_le_bytes(b.try_into().expect("8-byte piece")) as usize
+    })?;
 
     if let Some(l) = layout {
         skip(
@@ -317,12 +311,9 @@ pub fn read_csr_from<R: Read, T: BinaryScalar>(mut r: R) -> Result<Csr<T>, Spars
             "section padding",
         )?;
     }
-    let mut colidx: Vec<Index> = Vec::with_capacity(nnz.min(CHUNK));
-    let mut cbuf = [0u8; 4];
-    for _ in 0..nnz {
-        read_exact(&mut r, &mut cbuf, "colidx")?;
-        colidx.push(Index::from_le_bytes(cbuf));
-    }
+    let colidx = read_section(&mut r, nnz, 4, "colidx", |b| {
+        Index::from_le_bytes(b.try_into().expect("4-byte piece"))
+    })?;
 
     if let Some(l) = layout {
         skip(
@@ -331,14 +322,34 @@ pub fn read_csr_from<R: Read, T: BinaryScalar>(mut r: R) -> Result<Csr<T>, Spars
             "section padding",
         )?;
     }
-    let mut values: Vec<T> = Vec::with_capacity(nnz.min(CHUNK));
-    let mut vbuf = vec![0u8; T::WIDTH];
-    for _ in 0..nnz {
-        read_exact(&mut r, &mut vbuf, "values")?;
-        values.push(T::read_le(&vbuf));
-    }
+    let values = read_section(&mut r, nnz, T::WIDTH, "values", T::read_le)?;
 
     Csr::from_parts(nrows, ncols, rowptr, colidx, values)
+}
+
+/// Reads `count` elements of `width` bytes each, in pieces of at most
+/// [`CHUNK`] elements, decoding every piece with `decode`.  Memory grows
+/// with the bytes actually read, so the stream, not the untrusted header,
+/// bounds it: a short file fails at its next piece, long before a huge
+/// declared count could drive an allocation anywhere near it.
+fn read_section<R: Read, T>(
+    r: &mut R,
+    count: usize,
+    width: usize,
+    what: &str,
+    decode: impl Fn(&[u8]) -> T,
+) -> Result<Vec<T>, SparseError> {
+    let mut out = Vec::with_capacity(count.min(CHUNK));
+    let mut buf = vec![0u8; count.min(CHUNK) * width];
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(CHUNK);
+        let piece = &mut buf[..take * width];
+        read_exact(r, piece, what)?;
+        out.extend(piece.chunks_exact(width).map(&decode));
+        left -= take;
+    }
+    Ok(out)
 }
 
 /// Writes a CSR matrix to `path` (buffered, version 2).
@@ -835,6 +846,63 @@ mod tests {
         buf.truncate(buf.len() - 3);
         let err = read_csr_from::<_, f64>(buf.as_slice()).unwrap_err();
         assert!(matches!(err, SparseError::Binary { .. }));
+    }
+
+    #[test]
+    fn sections_longer_than_one_chunk_roundtrip_and_fail_typed_when_cut() {
+        // 70 000 rows of 3 entries: every section spans at least two read
+        // chunks.  Values are arbitrary finite bit patterns.
+        let n = 70_000usize;
+        let mut rowptr = vec![0usize];
+        let (mut colidx, mut values) = (Vec::new(), Vec::new());
+        let mut state = 7u64;
+        for i in 0..n {
+            let mut cols: Vec<Index> = (0..3).map(|t| ((i + t * 23_333) % n) as Index).collect();
+            cols.sort_unstable();
+            for c in cols {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                colidx.push(c);
+                values.push(f64::from_bits(state >> 2));
+            }
+            rowptr.push(colidx.len());
+        }
+        let m = Csr::from_parts(n, n, rowptr, colidx, values).unwrap();
+        assert!(m.nrows() > CHUNK && m.nnz() > CHUNK);
+
+        // `sections`: each section's byte offset and element width.
+        let check = |buf: &[u8], sections: [usize; 3], version: &str| {
+            let back: Csr<f64> = read_csr_from(buf).unwrap();
+            assert_eq!(back.rowptr(), m.rowptr(), "{version}");
+            assert_eq!(back.colidx(), m.colidx(), "{version}");
+            let bits = |c: &Csr<f64>| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&m), "{version}");
+            for (name, (off, width)) in ["rowptr", "colidx", "values"]
+                .into_iter()
+                .zip(sections.into_iter().zip([8, 4, 8]))
+            {
+                // Mid-element, inside the section's second chunk.
+                let cut = off + (CHUNK + 1000) * width + width / 2;
+                let err = read_csr_from::<_, f64>(&buf[..cut]).unwrap_err();
+                assert!(
+                    matches!(err, SparseError::Binary { .. }) && err.to_string().contains(name),
+                    "{version} cut in {name}: {err}"
+                );
+            }
+        };
+        let mut v2 = Vec::new();
+        write_csr_to(&mut v2, &m).unwrap();
+        let l = section_layout(m.nrows(), m.nnz(), 8);
+        check(&v2, [l.rowptr_off, l.colidx_off, l.values_off], "v2");
+        let mut v1 = Vec::new();
+        write_csr_v1_to(&mut v1, &m).unwrap();
+        let colidx_off = HEADER_BYTES + (m.nrows() + 1) * 8;
+        check(
+            &v1,
+            [HEADER_BYTES, colidx_off, colidx_off + m.nnz() * 4],
+            "v1",
+        );
     }
 
     #[test]

@@ -73,6 +73,15 @@ fn starvation_budget_spills_and_respects_the_resident_bound() {
         report.budget_bytes,
         report.max_tile_bytes
     );
+    // The report sums the tile multiplies' flush telemetry, tuples too.
+    let s = &report.stats;
+    assert!(s.flushes > 0, "{s:?}");
+    assert!(s.flushed_tuples >= s.flushes, "{s:?}");
+    assert_eq!(
+        s.local_flushed_tuples + s.remote_flushed_tuples,
+        s.flushed_tuples,
+        "{s:?}"
+    );
 
     // The scratch file is unlinked once the multiply's store is dropped.
     let leftovers: Vec<_> = std::fs::read_dir(&scratch)
