@@ -204,12 +204,6 @@ pub struct Telemetry {
     pub max_bin_flop: u64,
     /// Bin occupancy skew (fullest bin / mean bin).
     pub bin_occupancy_skew: f64,
-    /// Bins sorted with in-bin parallelism.
-    pub par_sorted_bins: usize,
-    /// Bins the compress phase split at key boundaries.
-    pub split_bins: usize,
-    /// Total chunks those split bins became.
-    pub split_chunks: usize,
     /// Output rows holding at least one nonzero.
     pub nonempty_rows: usize,
     /// NUMA partition and flush-locality telemetry.
@@ -331,9 +325,6 @@ impl Telemetry {
             max_segment_flushes: s.max_segment_flushes,
             max_bin_flop: s.max_bin_flop,
             bin_occupancy_skew: s.occupancy_skew(),
-            par_sorted_bins: s.par_sorted_bins,
-            split_bins: s.split_bins,
-            split_chunks: s.split_chunks,
             nonempty_rows: s.nonempty_rows,
             numa: NumaTelemetry::from_stats(s),
             workspace: WorkspaceTelemetry::from_stats(s),
@@ -399,7 +390,6 @@ mod tests {
             "full_flush_fraction",
             "flush_fill_hist",
             "bin_occupancy_skew",
-            "split_bins",
             "\"numa\"",
             "local_flush_fraction",
             "domain_occupancy",

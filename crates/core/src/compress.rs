@@ -7,58 +7,20 @@
 //! the compressed bin occupies a prefix of its original segment and no extra
 //! memory traffic is generated.
 //!
-//! Parallelism is *per bin* by default: the bins are disjoint slices, so the
-//! pool's threads each compress whole bins concurrently.  With the paper's
-//! bin sizing (`nbins ≈ flop·bytes/L2`) there are far more bins than threads
-//! whenever the input is large — but small products, explicit single-bin
-//! configurations, and skewed inputs can leave *fewer* (or far fatter) bins
-//! than threads, serialising the phase exactly when the sort phase already
-//! scales.  For that regime ([`CompressSplit::Auto`]/`Always`) an oversized
-//! bin is **split at key boundaries** into chunks: the chunk borders are
-//! advanced past any run of equal keys, every chunk is compressed in place
-//! concurrently by the same two-pointer scan, and the surviving prefixes are
-//! compacted back together.  Because no `(row, col)` key spans two chunks
-//! and each chunk merges its duplicates left-to-right exactly as the
-//! sequential scan would, the split schedule is **bit-identical** to the
-//! unsplit one — only the compaction `memmove` (touching `nnz(C)` of the
-//! split bins, in cache-line-sized runs) is extra traffic, paid only where
-//! it buys in-bin parallelism.
+//! Parallelism is per bin, as in the paper: the bins are disjoint slices,
+//! so the pool's threads each take whole bins and compress them while they
+//! are in cache.  One scan per bin folds every run of equal keys left to
+//! right, in the order the stable sort left them.
 
 use pb_sparse::semiring::Semiring;
 use rayon::prelude::*;
 
 use crate::bins::{BinnedTuples, Entry};
-use crate::config::CompressSplit;
-use crate::profile::StatsCollector;
-
-/// A bin smaller than this is never worth splitting across threads — the
-/// same regime boundary as the sort phase's
-/// [`PAR_BIN_MIN`](crate::sort::PAR_BIN_MIN), shared so the two phases
-/// cannot silently diverge on when in-bin parallelism pays.
-pub const SPLIT_MIN_TUPLES: usize = crate::sort::PAR_BIN_MIN;
 
 /// Compresses every (sorted) bin in place, updating
 /// [`BinnedTuples::compressed_len`].
-///
-/// `split` selects the in-bin parallel schedule for oversized bins; every
-/// bin actually split is counted into `stats`
-/// ([`PhaseStats::split_bins`](crate::profile::PhaseStats::split_bins)).
-pub fn compress_bins<S: Semiring>(
-    tuples: &mut BinnedTuples<S::Elem>,
-    split: CompressSplit,
-    stats: &StatsCollector,
-) {
+pub fn compress_bins<S: Semiring>(tuples: &mut BinnedTuples<S::Elem>) {
     let nbins = tuples.nbins();
-    let threads = rayon::current_num_threads();
-    let split_enabled = match split {
-        CompressSplit::Never => false,
-        CompressSplit::Always => true,
-        // Only when per-bin parallelism cannot keep the pool busy.
-        CompressSplit::Auto => nbins < threads,
-    };
-    // Aim for enough chunks to occupy the pool without shattering the bin.
-    let chunk_target = 2 * threads.max(1);
-
     // Split borrows instead of a staging clone of the offsets: they stay
     // readable while the entry buffer is carved into per-bin slices.
     let BinnedTuples {
@@ -83,16 +45,7 @@ pub fn compress_bins<S: Semiring>(
     // fixed domain order inside it — so the compressed output is
     // bit-identical to the single-domain schedule no matter which worker
     // compressed which bin.
-    let lens: Vec<usize> = slices
-        .into_par_iter()
-        .map(|seg| {
-            if split_enabled && seg.len() >= SPLIT_MIN_TUPLES {
-                compress_slice_split::<S>(seg, chunk_target, stats)
-            } else {
-                compress_slice::<S>(seg)
-            }
-        })
-        .collect();
+    let lens: Vec<usize> = slices.into_par_iter().map(compress_slice::<S>).collect();
     // In place, so the (possibly workspace-pooled) vector is kept.
     compressed_len.clear();
     compressed_len.extend(lens);
@@ -120,82 +73,11 @@ pub fn compress_slice<S: Semiring>(seg: &mut [Entry<S::Elem>]) -> usize {
     write + 1
 }
 
-/// Compresses one oversized sorted bin with in-bin parallelism: the bin is
-/// split into at most `chunks` key-aligned chunks, each chunk is compressed
-/// in place concurrently, and the surviving prefixes are compacted together.
-///
-/// Bit-identical to [`compress_slice`]: chunk borders never separate equal
-/// keys, and within a chunk duplicates are accumulated in the same
-/// left-to-right order.  Returns the number of surviving tuples; the split
-/// is recorded into `stats` when it actually happens (heavily duplicated
-/// bins can collapse to a single chunk, which falls back to the sequential
-/// scan).
-pub fn compress_slice_split<S: Semiring>(
-    seg: &mut [Entry<S::Elem>],
-    chunks: usize,
-    stats: &StatsCollector,
-) -> usize {
-    let len = seg.len();
-    if len == 0 {
-        return 0;
-    }
-    // Place chunk borders at the nearest key change at or after the even
-    // split points, so no run of equal keys spans two chunks.
-    let mut bounds: Vec<usize> = Vec::with_capacity(chunks.max(1) + 1);
-    bounds.push(0);
-    for c in 1..chunks.max(1) {
-        let mut p = len * c / chunks;
-        if p <= *bounds.last().unwrap() {
-            continue;
-        }
-        while p < len && seg[p].key == seg[p - 1].key {
-            p += 1;
-        }
-        if p > *bounds.last().unwrap() && p < len {
-            bounds.push(p);
-        }
-    }
-    bounds.push(len);
-    let nchunks = bounds.len() - 1;
-    if nchunks < 2 {
-        return compress_slice::<S>(seg);
-    }
-    stats.record_split_bin(nchunks);
-
-    // Carve the chunk sub-slices (disjoint by construction) and compress
-    // each one concurrently.
-    let mut chunk_slices: Vec<&mut [Entry<S::Elem>]> = Vec::with_capacity(nchunks);
-    let mut rest: &mut [Entry<S::Elem>] = seg;
-    for w in bounds.windows(2) {
-        let (chunk, r) = rest.split_at_mut(w[1] - w[0]);
-        chunk_slices.push(chunk);
-        rest = r;
-    }
-    let lens: Vec<usize> = chunk_slices
-        .into_par_iter()
-        .map(|chunk| compress_slice::<S>(chunk))
-        .collect();
-
-    // Compact the surviving prefixes into one contiguous prefix of the bin.
-    // Destinations never overtake sources (write <= bounds[i]), so the
-    // forward copy is safe and each surviving tuple moves at most once.
-    let mut write = lens[0];
-    for (i, &n) in lens.iter().enumerate().skip(1) {
-        let start = bounds[i];
-        if start != write {
-            seg.copy_within(start..start + n, write);
-        }
-        write += n;
-    }
-    write
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bins::BinLayout;
     use crate::config::BinMapping;
-    use pb_gen::Xoshiro256pp;
     use pb_sparse::semiring::{MinPlus, PlusTimes};
 
     type S = PlusTimes<f64>;
@@ -258,106 +140,10 @@ mod tests {
             compressed_len: vec![3, 3],
             layout,
         };
-        compress_bins::<S>(&mut tuples, CompressSplit::Auto, &StatsCollector::new());
+        compress_bins::<S>(&mut tuples);
         assert_eq!(tuples.compressed_len, vec![2, 1]);
         assert_eq!(tuples.compressed_total(), 3);
         assert_eq!(tuples.bin(0)[0].val, 2.0);
         assert_eq!(tuples.bin(1)[0].val, 15.0);
-    }
-
-    /// A sorted run with duplicate multiplicities drawn from a seeded RNG.
-    fn sorted_duplicated(n: usize, seed: u64) -> Vec<Entry<f64>> {
-        let mut rng = Xoshiro256pp::new(seed);
-        let mut out = Vec::with_capacity(n);
-        let mut key = 0u64;
-        while out.len() < n {
-            key += 1 + (rng.next_u64() % 3);
-            // 1..=8 duplicates of this key, values that make order matter
-            // (floats are summed in index order by the sequential oracle).
-            let dups = 1 + (rng.next_u64() % 8) as usize;
-            for d in 0..dups.min(n - out.len()) {
-                out.push(Entry {
-                    key,
-                    val: (d as f64 + 1.0) * 0.1 + key as f64,
-                });
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn split_compress_is_bit_identical_to_sequential() {
-        for seed in [1u64, 2, 3] {
-            let original = sorted_duplicated(10_000, seed);
-            let mut expected = original.clone();
-            let n_expected = compress_slice::<S>(&mut expected);
-            for chunks in [2usize, 3, 7, 16] {
-                let mut seg = original.clone();
-                let stats = StatsCollector::new();
-                let n = compress_slice_split::<S>(&mut seg, chunks, &stats);
-                assert_eq!(n, n_expected, "seed {seed} chunks {chunks}");
-                // Bit-for-bit: same keys AND same float values (not approx).
-                assert_eq!(
-                    &seg[..n],
-                    &expected[..n_expected],
-                    "seed {seed} chunks {chunks}"
-                );
-                let s = stats.snapshot();
-                assert_eq!(s.split_bins, 1);
-                assert!(s.split_chunks >= 2 && s.split_chunks <= chunks);
-            }
-        }
-    }
-
-    #[test]
-    fn split_never_separates_equal_keys() {
-        // One giant run of a single key: every candidate border lands inside
-        // the run and must be pushed past it, collapsing to one chunk — the
-        // sequential fallback — and still merging to a single tuple.
-        let mut seg = entries(&[(42, 1.0); 5000]);
-        let stats = StatsCollector::new();
-        let n = compress_slice_split::<S>(&mut seg, 8, &stats);
-        assert_eq!(n, 1);
-        assert_eq!(seg[0].val, 5000.0);
-        assert_eq!(
-            stats.snapshot().split_bins,
-            0,
-            "degenerate split not counted"
-        );
-    }
-
-    #[test]
-    fn split_handles_empty_and_tiny_segments() {
-        let mut empty: Vec<Entry<f64>> = Vec::new();
-        assert_eq!(
-            compress_slice_split::<S>(&mut empty, 4, &StatsCollector::new()),
-            0
-        );
-        let mut tiny = entries(&[(1, 1.0), (1, 2.0), (2, 3.0)]);
-        let n = compress_slice_split::<S>(&mut tiny, 4, &StatsCollector::new());
-        assert_eq!(n, 2);
-        assert_eq!(tiny[0].val, 3.0);
-    }
-
-    #[test]
-    fn compress_bins_split_modes_agree() {
-        // One big sorted bin; Always must split it (recording stats) and
-        // produce exactly what Never produces.
-        let data = sorted_duplicated(SPLIT_MIN_TUPLES + 1000, 9);
-        let layout = BinLayout::new(1 << 20, 1 << 20, 1, BinMapping::Range);
-        let build = |entries: Vec<Entry<f64>>| BinnedTuples {
-            bin_offsets: vec![0, entries.len()],
-            compressed_len: vec![entries.len()],
-            entries,
-            layout: layout.clone(),
-        };
-        let mut unsplit = build(data.clone());
-        compress_bins::<S>(&mut unsplit, CompressSplit::Never, &StatsCollector::new());
-        let mut split = build(data);
-        let stats = StatsCollector::new();
-        compress_bins::<S>(&mut split, CompressSplit::Always, &stats);
-        assert_eq!(split.compressed_len, unsplit.compressed_len);
-        assert_eq!(split.bin(0), unsplit.bin(0));
-        assert_eq!(stats.snapshot().split_bins, 1);
     }
 }

@@ -65,22 +65,6 @@ pub const CACHE_LINE_BYTES: usize = 64;
 /// still fits the bins of a thread in L1/L2.
 pub const DEFAULT_LOCAL_BIN_CACHE_LINES: usize = 8;
 
-/// When the compress phase may split one oversized bin at key boundaries so
-/// that [`compress_bins`](crate::compress::compress_bins) parallelises
-/// *inside* the bin instead of only across bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressSplit {
-    /// Split large bins only when there are fewer bins than pool threads —
-    /// the regime where per-bin parallelism cannot keep the pool busy
-    /// (mirrors the sort phase's in-bin parallel schedule).  Default.
-    Auto,
-    /// Never split: the paper's strictly per-bin compress schedule.
-    Never,
-    /// Split every bin above the minimum size regardless of the thread
-    /// count (differential testing and ablation).
-    Always,
-}
-
 // ---------------------------------------------------------------------------
 // AutoTune
 // ---------------------------------------------------------------------------
@@ -352,9 +336,6 @@ pub struct PbConfig {
     /// [`PbConfig::threads`], which builds a dedicated pool whose
     /// worker↔domain labels match.  1 disables partitioning.
     pub numa_domains: Option<usize>,
-    /// Whether the compress phase may split oversized bins at key
-    /// boundaries (default [`CompressSplit::Auto`]).
-    pub compress_split: CompressSplit,
     /// SIMD dispatch level for the sort/expand kernels.  `None` (default)
     /// uses the process-wide level — runtime detection, overridable via
     /// `PB_SIMD` (see [`crate::simd::active`]).  An explicit level is
@@ -400,7 +381,6 @@ impl PartialEq for PbConfig {
             && self.expand == other.expand
             && self.threads == other.threads
             && self.numa_domains == other.numa_domains
-            && self.compress_split == other.compress_split
             && self.simd == other.simd
     }
 }
@@ -415,7 +395,6 @@ impl Default for PbConfig {
             expand: ExpandStrategy::Reserved,
             threads: None,
             numa_domains: None,
-            compress_split: CompressSplit::Auto,
             simd: None,
             auto: None,
             workspace: None,
@@ -519,12 +498,6 @@ impl PbConfig {
     /// for the multiplication).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the compress-phase bin-splitting policy.
-    pub fn with_compress_split(mut self, split: CompressSplit) -> Self {
-        self.compress_split = split;
         self
     }
 

@@ -76,7 +76,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use bins::{BinLayout, BinnedTuples, Entry};
-pub use config::{AutoTune, BinMapping, CompressSplit, ExpandStrategy, PbConfig};
+pub use config::{AutoTune, BinMapping, ExpandStrategy, PbConfig};
 pub use engine::{Algorithm, Masked, ProfileSink, SpGemm, ALGORITHM_ENV};
 pub use error::{validate_env, PbError};
 pub use planner::{PlannedKernel, Planner, Signals};
@@ -176,7 +176,7 @@ fn run_phases<S: Semiring, M: Scalar>(
 
     let span = trace::span(trace::SpanName::PhaseCompress);
     let t3 = Instant::now();
-    compress::compress_bins::<S>(&mut tuples, config.compress_split, &stats);
+    compress::compress_bins::<S>(&mut tuples);
     if let Some(mask) = mask {
         let _span = trace::span(trace::SpanName::PhaseMask);
         masked::apply_mask(&mut tuples, mask);
@@ -226,7 +226,7 @@ fn run_phases<S: Semiring, M: Scalar>(
 ///
 /// Fresh (workspace-less) leases keep the classic lazy per-bin scratch
 /// inside [`sort::sort_bins`]: the slab's upfront zero-fill of
-/// `flop + domains·max_bin` entries only pays for itself when amortised
+/// `flop + (domains−1)·max_bin` entries only pays for itself when amortised
 /// across multiplies, and on a throwaway buffer it would roughly double
 /// the sort phase's memory traffic for nothing.
 fn sort_with_lease<S: Semiring>(
@@ -509,28 +509,6 @@ mod tests {
             *nbins_seen.last().unwrap() >= nbins_seen[0] * 4,
             "boost visibly multiplies the derived bin count: {nbins_seen:?}"
         );
-    }
-
-    #[test]
-    fn split_compress_matches_unsplit_and_reference() {
-        // Single-bin configuration with a product big enough to cross the
-        // split threshold: Always must split (visible in the telemetry) and
-        // agree bit-for-bit with Never on unit values.
-        let a = rmat_square(9, 8, 23).map_values(|_| 1.0);
-        let a_csc = a.to_csc();
-        let expected = reference_multiply(&a, &a);
-        let base = PbConfig::default().with_nbins(1);
-        let (unsplit, _) = pb(&base.clone().with_compress_split(CompressSplit::Never))
-            .multiply_csc_with_profile::<PlusTimes<f64>>(&a_csc, &a);
-        let (split, profile) = pb(&base.with_compress_split(CompressSplit::Always))
-            .multiply_csc_with_profile::<PlusTimes<f64>>(&a_csc, &a);
-        assert!(profile.flop as usize >= compress::SPLIT_MIN_TUPLES);
-        assert_eq!(profile.stats.split_bins, 1, "the single bin was split");
-        assert!(profile.stats.split_chunks >= 2);
-        assert_eq!(split.rowptr(), unsplit.rowptr());
-        assert_eq!(split.colidx(), unsplit.colidx());
-        assert_eq!(split.values(), unsplit.values());
-        assert!(csr_approx_eq(&split, &expected, 1e-9));
     }
 
     #[test]

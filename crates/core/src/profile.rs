@@ -86,8 +86,8 @@ pub const MAX_TELEMETRY_DOMAINS: usize = 8;
 pub struct IsaDispatch {
     /// The resolved dispatch level this multiply ran under.
     pub isa: crate::simd::Isa,
-    /// Sort-phase byte-histogram invocations (LSD passes and MSD partition
-    /// counts) that ran a SIMD kernel.
+    /// Sort-phase histogram invocations (per-byte and fused digit-planned
+    /// LSD passes) that ran a SIMD kernel.
     pub simd_histograms: u64,
     /// Byte-histogram invocations that ran the scalar loop (forced scalar,
     /// unsupported host, or inputs below
@@ -188,13 +188,6 @@ pub struct PhaseStats {
     /// tuple buffer, or on a host without THP support.  Like [`IsaDispatch`]
     /// it proves what ran instead of trusting the build.
     pub huge_page_bytes: u64,
-    /// Bins the sort phase processed with in-bin parallelism.
-    pub par_sorted_bins: usize,
-    /// Bins the compress phase split at key boundaries for in-bin
-    /// parallelism.
-    pub split_bins: usize,
-    /// Total chunks those split bins were divided into.
-    pub split_chunks: usize,
     /// Output rows with at least one nonzero (assemble phase).
     pub nonempty_rows: usize,
     /// Which SIMD code paths the multiply executed (dispatch level plus
@@ -253,9 +246,6 @@ impl Default for PhaseStats {
             bytes_reused: 0,
             workspace_hits: 0,
             huge_page_bytes: 0,
-            par_sorted_bins: 0,
-            split_bins: 0,
-            split_chunks: 0,
             nonempty_rows: 0,
             isa: IsaDispatch::default(),
             planned_algorithm: crate::planner::PlannedKernel::Unplanned,
@@ -363,9 +353,6 @@ pub struct StatsCollector {
     bytes_reused: AtomicU64,
     workspace_hits: AtomicU64,
     huge_page_bytes: AtomicU64,
-    par_sorted_bins: AtomicUsize,
-    split_bins: AtomicUsize,
-    split_chunks: AtomicUsize,
     nonempty_rows: AtomicUsize,
     // Stored as Isa::index() so the collector stays lock-free.
     isa_level: AtomicUsize,
@@ -405,9 +392,6 @@ impl StatsCollector {
             bytes_reused: AtomicU64::new(0),
             workspace_hits: AtomicU64::new(0),
             huge_page_bytes: AtomicU64::new(0),
-            par_sorted_bins: AtomicUsize::new(0),
-            split_bins: AtomicUsize::new(0),
-            split_chunks: AtomicUsize::new(0),
             nonempty_rows: AtomicUsize::new(0),
             isa_level: AtomicUsize::new(crate::simd::Isa::Scalar.index()),
             simd_histograms: AtomicU64::new(0),
@@ -423,9 +407,9 @@ impl StatsCollector {
         self.isa_level.store(isa.index(), Ordering::Relaxed);
     }
 
-    /// Merges one bin's (or one MSD bucket's) locally accumulated sort
-    /// kernel counters — the sort analogue of `record_expand_segment`'s
-    /// merge-once-per-segment discipline.
+    /// Merges one bin's locally accumulated sort kernel counters — the sort
+    /// analogue of `record_expand_segment`'s merge-once-per-segment
+    /// discipline.
     pub fn record_sort_kernels(&self, ctr: &crate::simd::KernelCounters) {
         if ctr.simd_histograms > 0 {
             self.simd_histograms
@@ -535,18 +519,6 @@ impl StatsCollector {
         }
     }
 
-    /// Counts one bin sorted with in-bin parallelism.
-    pub fn record_par_sorted_bin(&self) {
-        self.par_sorted_bins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one bin split into `chunks` key-boundary chunks by the
-    /// compress phase.
-    pub fn record_split_bin(&self, chunks: usize) {
-        self.split_bins.fetch_add(1, Ordering::Relaxed);
-        self.split_chunks.fetch_add(chunks, Ordering::Relaxed);
-    }
-
     /// Records the number of output rows holding at least one nonzero.
     pub fn record_nonempty_rows(&self, rows: usize) {
         self.nonempty_rows.store(rows, Ordering::Relaxed);
@@ -587,9 +559,6 @@ impl StatsCollector {
             bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
             workspace_hits: self.workspace_hits.load(Ordering::Relaxed),
             huge_page_bytes: self.huge_page_bytes.load(Ordering::Relaxed),
-            par_sorted_bins: self.par_sorted_bins.load(Ordering::Relaxed),
-            split_bins: self.split_bins.load(Ordering::Relaxed),
-            split_chunks: self.split_chunks.load(Ordering::Relaxed),
             nonempty_rows: self.nonempty_rows.load(Ordering::Relaxed),
             isa: IsaDispatch {
                 isa: crate::simd::Isa::from_index(self.isa_level.load(Ordering::Relaxed)),
@@ -853,9 +822,6 @@ mod tests {
         c.record_expand_segment(4, 100, &[0; FLUSH_HIST_BUCKETS], 4, 100, 0);
         c.record_bin_flop(&[100, 300, 200]);
         c.record_numa(2, &[250, 180]);
-        c.record_par_sorted_bin();
-        c.record_split_bin(4);
-        c.record_split_bin(2);
         c.record_nonempty_rows(77);
         c.record_workspace(1024, 0, false);
         c.record_workspace(0, 4096, true);
@@ -881,9 +847,6 @@ mod tests {
         assert_eq!(s.flush_fill_hist[FLUSH_HIST_BUCKETS - 1], 10);
         assert_eq!(s.max_bin_flop, 300);
         assert!((s.mean_bin_flop - 200.0).abs() < 1e-12);
-        assert_eq!(s.par_sorted_bins, 1);
-        assert_eq!(s.split_bins, 2);
-        assert_eq!(s.split_chunks, 6);
         assert_eq!(s.nonempty_rows, 77);
         assert_eq!(s.bytes_allocated, 1024);
         assert_eq!(s.bytes_reused, 4096);

@@ -295,9 +295,10 @@ fn entry_stride<V: Copy>() -> usize {
 /// for entry layouts wider than 16 bytes) and counting the invocation into
 /// `ctr`.
 ///
-/// This kernel serves the in-bin parallel sort's MSD partition count and the
-/// per-byte LSD fallback; the main LSD path plans wider digits and goes
-/// through [`fused_histograms`] instead.
+/// This kernel serves the per-byte LSD passes: the scalar level, bins
+/// below [`SIMD_MIN_LEN`] and keys too wide for the digit plan.  The main
+/// LSD path plans wider digits and goes through [`fused_histograms`]
+/// instead.
 #[inline]
 pub fn byte_histogram<V: Copy>(
     isa: Isa,

@@ -9,11 +9,9 @@
 //! passes instead of 8).
 //!
 //! The sorter is a least-significant-digit radix sort with a scratch
-//! buffer: one stable counting pass per significant digit.  A large bin in
-//! a pool with more threads than bins is first split by one in-place MSD
-//! byte partition (the step of the American-flag sort of McIlroy, Bostic &
-//! McIlroy, which the paper cites), and its 256 buckets are then radix
-//! sorted in parallel.
+//! buffer: one stable counting pass per significant digit.  Each bin is
+//! sorted by exactly one thread, whatever the pool size, so equal keys
+//! always keep their input order within the bin.
 //!
 //! # SIMD kernels, digit planning and software prefetch
 //!
@@ -31,11 +29,11 @@
 //! peeking `SCATTER_PREFETCH_AHEAD` entries ahead.  Keys too wide for the
 //! plan (over `FUSED_MAX_PASSES · FUSED_MAX_DIGIT_BITS` bits) fall back to
 //! the classic per-byte passes, whose histogram still dispatches through
-//! [`simd::byte_histogram`] (as does the MSD partition count).  The scalar
-//! level runs the pre-SIMD per-byte code verbatim — fallback and bitwise
-//! oracle: a stable LSD sort's result depends only on the key order and
-//! input order, not on how the significant bits are cut into digits, so the
-//! planned path is a bitwise no-op relative to scalar.
+//! [`simd::byte_histogram`].  The scalar level runs the pre-SIMD per-byte
+//! code verbatim — fallback and bitwise oracle: a stable LSD sort's result
+//! depends only on the key order and input order, not on how the
+//! significant bits are cut into digits, so the planned path is a bitwise
+//! no-op relative to scalar.
 //! Every kernel invocation is counted into [`KernelCounters`] and merged
 //! into [`PhaseStats::isa`](crate::profile::PhaseStats::isa), so telemetry
 //! proves which path ran.  The safety argument for the intrinsics lives in
@@ -49,21 +47,6 @@ use crate::bins::{BinnedTuples, Entry};
 use crate::profile::StatsCollector;
 use crate::simd::{self, Isa, KernelCounters};
 use crate::workspace::ScratchSlabs;
-
-/// A bin smaller than this is never worth splitting across threads.
-///
-/// Note the in-bin parallel path is *doubly* gated: it also requires fewer
-/// bins than pool threads (see [`sort_bins`]).  On the committed benchmark
-/// corpus that first gate never opens — bins are sized to L2, so a
-/// 2.3 Mflop smoke product needs ceil(2.3e6·16 B / 1 MiB) ≈ 35 bins, an
-/// order of magnitude more than the 4-thread CI pool — which is why
-/// `par_sorted_bins` is legitimately 0 on every committed corpus point.
-/// The threshold itself is right where it should be: one bin of
-/// `PAR_BIN_MIN` entries is ~256 KiB of tuples, below which the sequential
-/// sorter finishes before the MSD partition pass would even pay for itself.
-/// The few-huge-bins regime it protects is covered by the
-/// `in_bin_parallel_sort_engages_on_few_huge_bins` regression test.
-pub const PAR_BIN_MIN: usize = 1 << 14;
 
 /// How many entries ahead of the write cursor the LSD scatter peeks to
 /// prefetch its destination stream (non-scalar ISA levels only; one hint
@@ -124,13 +107,8 @@ pub fn sort_bins_slabbed_with<V: Copy + Send + Sync>(
 
 /// Sorts every bin of the expanded matrix by its packed key.
 ///
-/// Whole bins are distributed across the pool's threads.  When there are
-/// *fewer* bins than threads (small products, or a single-bin
-/// configuration) per-bin parallelism cannot keep the pool busy, so large
-/// bins are additionally sorted with in-bin parallelism: one MSD byte
-/// partition whose 256 buckets are then sorted concurrently.  Every bin
-/// taking the in-bin parallel path is counted into `stats`
-/// ([`PhaseStats::par_sorted_bins`](crate::profile::PhaseStats::par_sorted_bins)).
+/// Whole bins are distributed across the pool's threads, and each bin is
+/// sorted sequentially and stably by the thread that claimed it.
 fn sort_bins_impl<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
     isa: Isa,
@@ -139,7 +117,6 @@ fn sort_bins_impl<V: Copy + Send + Sync>(
 ) {
     let key_bytes = tuples.layout.key_bytes() as usize;
     let nbins = tuples.layout.nbins;
-    let split_within_bins = nbins < rayon::current_num_threads();
 
     // Split borrows: the offsets stay readable while the entry buffer is
     // carved into disjoint per-bin mutable slices (no staging clone).
@@ -168,16 +145,11 @@ fn sort_bins_impl<V: Copy + Send + Sync>(
     // domain-local: each worker leases from its own domain's slab.
     slices.into_par_iter().for_each(|seg| {
         let scratch = lease_scratch(slabs, seg.len(), stats);
-        if split_within_bins && seg.len() >= PAR_BIN_MIN {
-            stats.record_par_sorted_bin();
-            par_sort_slice_in(seg, key_bytes, isa, scratch, Some(stats))
-        } else {
-            // Kernel invocations accumulate in a thread-local counter and
-            // merge once per bin — the hot loops never touch an atomic.
-            let mut ctr = KernelCounters::default();
-            lsd_radix_sort_in(seg, key_bytes, isa, scratch, &mut ctr);
-            stats.record_sort_kernels(&ctr);
-        }
+        // Kernel invocations accumulate in a thread-local counter and merge
+        // once per bin — the hot loops never touch an atomic.
+        let mut ctr = KernelCounters::default();
+        sort_slice_in(seg, key_bytes, isa, scratch, &mut ctr);
+        stats.record_sort_kernels(&ctr);
     });
 }
 
@@ -201,82 +173,6 @@ fn lease_scratch<'s, V: Copy + Send>(
     leased
 }
 
-/// Sorts one large bin with in-bin parallelism (same result as
-/// [`sort_slice`], different schedule), dispatching SIMD kernels at the
-/// process-wide [`simd::active`] level.
-///
-/// The bin is partitioned once by its most significant key byte — a
-/// counting pass plus in-place cycle permutation — and the 256 resulting
-/// buckets, which are already mutually ordered, are radix sorted
-/// independently in parallel on the remaining bytes.
-pub fn par_sort_slice<V: Copy + Send>(seg: &mut [Entry<V>], key_bytes: usize) {
-    par_sort_slice_in(seg, key_bytes, simd::active(), None, None)
-}
-
-/// One MSD bucket of a parallel in-bin sort, paired with its (optional)
-/// piece of the bin's leased scratch.
-type BucketTask<'a, V> = (&'a mut [Entry<V>], Option<&'a mut [Entry<V>]>);
-
-/// [`par_sort_slice`] with an explicit ISA level, optional pre-leased LSD
-/// scratch of at least `seg.len()` entries (`None` allocates as before),
-/// and an optional collector to merge the per-bucket kernel counters into.
-fn par_sort_slice_in<V: Copy + Send>(
-    seg: &mut [Entry<V>],
-    key_bytes: usize,
-    isa: Isa,
-    scratch: Option<&mut [Entry<V>]>,
-    stats: Option<&StatsCollector>,
-) {
-    let key_bytes = key_bytes.clamp(1, 8);
-    let mut top_ctr = KernelCounters::default();
-    if key_bytes == 1 {
-        // Single significant byte: the MSD partition *is* the sort.
-        flag_sort_level(seg, 0, isa, &mut top_ctr);
-        if let Some(stats) = stats {
-            stats.record_sort_kernels(&top_ctr);
-        }
-        return;
-    }
-    let top = (key_bytes - 1) as u32;
-    let (starts, ends) = msd_partition(seg, top, isa, &mut top_ctr);
-    if let Some(stats) = stats {
-        stats.record_sort_kernels(&top_ctr);
-    }
-    // Carve the bucket sub-slices (disjoint by construction), and the
-    // scratch into matching pieces when one was leased.
-    let mut buckets: Vec<BucketTask<'_, V>> = Vec::with_capacity(256);
-    let mut rest: &mut [Entry<V>] = seg;
-    let mut scratch_rest: Option<&mut [Entry<V>]> = scratch;
-    let mut consumed = 0usize;
-    for bucket in 0..256 {
-        let len = ends[bucket] - starts[bucket];
-        let (b, r) = rest.split_at_mut(len);
-        rest = r;
-        let piece = match scratch_rest.take() {
-            Some(s) => {
-                let (piece, r) = s.split_at_mut(len);
-                scratch_rest = Some(r);
-                Some(piece)
-            }
-            None => None,
-        };
-        buckets.push((b, piece));
-        consumed += len;
-    }
-    debug_assert_eq!(consumed, ends[255]);
-    buckets.into_par_iter().for_each(|(b, piece)| {
-        if b.len() > 1 {
-            // Buckets share the top byte, so ordering the remaining low
-            // bytes completes the sort.
-            let mut ctr = KernelCounters::default();
-            lsd_radix_sort_in(b, key_bytes - 1, isa, piece, &mut ctr);
-            if let Some(stats) = stats {
-                stats.record_sort_kernels(&ctr);
-            }
-        }
-    });
-}
-
 /// Sorts one bin's tuples by key, dispatching SIMD kernels at the
 /// process-wide [`simd::active`] level.
 pub fn sort_slice<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize) {
@@ -287,7 +183,7 @@ pub fn sort_slice<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize) {
 /// the differential tests iterate over every supported level.
 pub fn sort_slice_with<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize, isa: Isa) {
     let mut ctr = KernelCounters::default();
-    lsd_radix_sort_in(seg, key_bytes, isa, None, &mut ctr)
+    sort_slice_in(seg, key_bytes, isa, None, &mut ctr)
 }
 
 /// Threshold below which radix sorters fall back to insertion sort.
@@ -307,18 +203,12 @@ fn insertion_sort<V: Copy>(seg: &mut [Entry<V>]) {
     }
 }
 
-/// LSD radix sort: one stable counting-sort pass per significant key byte,
-/// ping-ponging between the bin and a scratch buffer allocated here; SIMD
-/// kernels dispatch at the process-wide [`simd::active`] level.
-pub fn lsd_radix_sort<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize) {
-    let mut ctr = KernelCounters::default();
-    lsd_radix_sort_in(seg, key_bytes, simd::active(), None, &mut ctr)
-}
-
-/// [`lsd_radix_sort`] with an explicit ISA level and an optional
-/// caller-provided scratch buffer of at least `seg.len()` initialised
-/// entries (a workspace slab lease); `None` allocates its own.
-fn lsd_radix_sort_in<V: Copy>(
+/// [`sort_slice_with`] with an optional caller-provided scratch buffer of at
+/// least `seg.len()` initialised entries (a workspace slab lease); `None`
+/// allocates its own.  Insertion sort below [`SMALL_SORT`], otherwise LSD
+/// radix passes ping-ponging between the bin and the scratch; both are
+/// stable.
+fn sort_slice_in<V: Copy>(
     seg: &mut [Entry<V>],
     key_bytes: usize,
     isa: Isa,
@@ -507,64 +397,6 @@ fn scatter_prefetched<V: Copy>(
     }
 }
 
-/// Partitions `seg` into 256 buckets of key byte `byte` (in-place
-/// cycle-following permutation, one step of an American-flag sort);
-/// returns each bucket's `[start, end)` boundaries.
-fn msd_partition<V: Copy>(
-    seg: &mut [Entry<V>],
-    byte: u32,
-    isa: Isa,
-    ctr: &mut KernelCounters,
-) -> ([usize; 256], [usize; 256]) {
-    let shift = 8 * byte;
-    let counts = simd::byte_histogram(isa, seg, shift, ctr);
-    let mut starts = [0usize; 256];
-    let mut ends = [0usize; 256];
-    let mut acc = 0usize;
-    for i in 0..256 {
-        starts[i] = acc;
-        acc += counts[i];
-        ends[i] = acc;
-    }
-    // Cycle-following permutation: place every element into its bucket.
-    let mut heads = starts;
-    for bucket in 0..256 {
-        while heads[bucket] < ends[bucket] {
-            let mut e = seg[heads[bucket]];
-            loop {
-                let target = ((e.key >> shift) & 0xFF) as usize;
-                if target == bucket {
-                    break;
-                }
-                let dst = heads[target];
-                heads[target] += 1;
-                std::mem::swap(&mut seg[dst], &mut e);
-            }
-            seg[heads[bucket]] = e;
-            heads[bucket] += 1;
-        }
-    }
-    (starts, ends)
-}
-
-/// In-place MSD radix sort of `seg` from key byte `byte` down (the
-/// American-flag sort), insertion-sorting small buckets.
-fn flag_sort_level<V: Copy>(seg: &mut [Entry<V>], byte: u32, isa: Isa, ctr: &mut KernelCounters) {
-    if seg.len() <= SMALL_SORT {
-        insertion_sort(seg);
-        return;
-    }
-    let (starts, ends) = msd_partition(seg, byte, isa, ctr);
-    if byte > 0 {
-        for bucket in 0..256 {
-            let (lo, hi) = (starts[bucket], ends[bucket]);
-            if hi - lo > 1 {
-                flag_sort_level(&mut seg[lo..hi], byte - 1, isa, ctr);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,69 +570,41 @@ mod tests {
     }
 
     #[test]
-    fn in_bin_parallel_sort_engages_on_few_huge_bins() {
-        // Regression guard for the `par_sorted_bins` path (satellite of
-        // ISSUE 7): the corpus never reaches it because bins sized to L2
-        // always outnumber the pool threads (see the `PAR_BIN_MIN` doc),
-        // so this synthetic few-huge-bins input is the only coverage that
-        // the double gate — fewer bins than threads AND a bin at least
-        // `PAR_BIN_MIN` entries — actually opens and gets counted.
-        let layout = BinLayout::new(30, 16, 2, BinMapping::Range);
-        let mut rng = Xoshiro256pp::new(17);
-        let per_bin = PAR_BIN_MIN; // exactly at the threshold: >= engages
-        let mut entries = Vec::new();
-        let mut bin_offsets = vec![0usize];
-        for _bin in 0..2 {
-            for _ in 0..per_bin {
-                entries.push(Entry {
-                    key: rng.next_u64() & 0xFF,
-                    val: 1.0f64,
-                });
-            }
-            bin_offsets.push(entries.len());
-        }
-        let mut tuples = BinnedTuples {
-            entries,
-            bin_offsets: bin_offsets.clone(),
-            compressed_len: vec![per_bin, per_bin],
-            layout,
-        };
-        let stats = crate::profile::StatsCollector::new();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        pool.install(|| sort_bins(&mut tuples, &stats));
-        assert_eq!(
-            stats.snapshot().par_sorted_bins,
-            2,
-            "two huge bins under a 4-thread pool must both take the in-bin parallel path"
-        );
-        for b in 0..2 {
-            assert!(is_sorted(
-                &tuples.entries[bin_offsets[b]..bin_offsets[b + 1]]
-            ));
-        }
-    }
-
-    #[test]
-    fn par_sort_slice_agrees_with_sequential_sort() {
-        for &bits in &[8u32, 20, 31, 48] {
-            let original = random_entries(60_000, bits, 1000 + bits as u64);
-            let key_bytes = (bits as usize).div_ceil(8);
-            let mut expected = original.clone();
-            expected.sort_by_key(|e| e.key);
-            let expected_keys: Vec<u64> = expected.iter().map(|e| e.key).collect();
-            for threads in [1usize, 2, 4] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let mut data = original.clone();
-                pool.install(|| par_sort_slice(&mut data, key_bytes));
-                let keys: Vec<u64> = data.iter().map(|e| e.key).collect();
-                assert_eq!(keys, expected_keys, "{threads} threads on {bits}-bit keys");
-            }
+    fn sort_bins_keeps_equal_keys_in_input_order_on_every_pool() {
+        // One bin of 40 000 entries over 2 000 keys, so every key repeats;
+        // `val` is the input position.  Whatever the pool, each run of equal
+        // keys must come out in input order: the compress phase folds a run
+        // left to right, so stability fixes the order of every sum.
+        let n = 40_000usize;
+        let layout = BinLayout::new(64, 64, 1, BinMapping::Range);
+        assert_eq!(layout.key_bytes(), 2);
+        let mut rng = Xoshiro256pp::new(29);
+        let entries: Vec<Entry<u64>> = (0..n)
+            .map(|i| Entry {
+                key: rng.next_u64() % 2_000,
+                val: i as u64,
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut tuples = BinnedTuples {
+                entries: entries.clone(),
+                bin_offsets: vec![0, n],
+                compressed_len: vec![n],
+                layout: layout.clone(),
+            };
+            pool.install(|| sort_bins(&mut tuples, &StatsCollector::new()));
+            assert!(is_sorted(&tuples.entries), "{threads} threads");
+            assert!(
+                tuples
+                    .entries
+                    .windows(2)
+                    .all(|w| w[0].key < w[1].key || w[0].val < w[1].val),
+                "equal keys reordered on {threads} threads"
+            );
         }
     }
 
@@ -809,7 +613,7 @@ mod tests {
         // Keys fit in 3 bytes; telling the sorter 3 bytes must be enough.
         let original = random_entries(2000, 24, 77);
         let mut a = original.clone();
-        lsd_radix_sort(&mut a, 3);
+        sort_slice(&mut a, 3);
         assert!(is_sorted(&a));
     }
 }

@@ -517,9 +517,10 @@ fn derive_grid<TA: BinaryScalar, TB: BinaryScalar>(
 ///
 /// The sums are bit-identical whatever the pool's thread count: equal
 /// `(row, col)` keys enter a bin in ascending `k`, the LSD sort keeps that
-/// order and the compress folds left to right.  `sort::sort_bins` must not
-/// be used here: with fewer bins than threads it splits a bin with an
-/// unstable in-place MSD partition.
+/// order and the compress folds left to right.  The merge keeps its own
+/// per-bin loop instead of calling `sort::sort_bins` and
+/// `compress::compress_bins` because it fills, sorts and compresses each
+/// bin in one pass while the bin is in cache.
 fn accumulate_partials<S: Semiring>(
     tile_rows: usize,
     tile_cols: usize,
@@ -976,9 +977,10 @@ mod tests {
     #[test]
     fn merge_folds_in_ascending_k_on_every_pool() {
         // 2000 rows: 8 bins, more than any pool below has threads.  2 rows
-        // and 100 000 tuples: 2 bins of about 50 000 >= PAR_BIN_MIN tuples,
-        // fewer bins than the 4-thread pool has threads — the shape where
-        // `sort::sort_bins` would reorder equal keys.
+        // and 100 000 tuples: 2 bins of about 50 000 >= 16 384 tuples,
+        // fewer bins than the 4-thread pool has threads — a shape where a
+        // schedule that splits one bin across threads could reorder equal
+        // keys.
         for (rows, cols) in [(2000, 32), (2, 20_000)] {
             let partials = random_partials(rows, cols, 4, rows as u64);
             let total: usize = partials.iter().map(Csr::nnz).sum();
@@ -999,7 +1001,7 @@ mod tests {
             );
             if rows == 2 {
                 assert_eq!(layout.nbins(), 2);
-                assert!(total / 2 >= sort::PAR_BIN_MIN, "{total} tuples");
+                assert!(total / 2 >= 16_384, "{total} tuples");
             } else {
                 assert!(layout.nbins() > 4, "{} bins", layout.nbins());
             }

@@ -16,7 +16,7 @@
 //! | buffer | phase | size | notes |
 //! |---|---|---|---|
 //! | tuple buffer | expand | `flop` entries | becomes [`BinnedTuples::entries`] |
-//! | sort scratch | sort | `flop + domains·max_bin` entries | per-domain slabs, see below |
+//! | sort scratch | sort | `flop + (domains−1)·max_bin` entries | per-domain slabs, see below |
 //! | bin offsets | expand | `nbins + 1` words | becomes [`BinnedTuples::bin_offsets`] |
 //! | compressed lengths | expand | `nbins` words | becomes [`BinnedTuples::compressed_len`] |
 //! | row counts | assemble | `nrows` words | pass-1 staging, recycled after the prefix sum |
@@ -74,11 +74,11 @@
 //! socket-local — closing the "domain-aware first-touch for sort scratch"
 //! item the expand-phase partitioning (PR 4) left open.
 //!
-//! Each slab carries a `max_bin` margin on top of its even share of the
-//! flop, which guarantees a lease can never fail in *every* slab (see
-//! [`scratch_target_len`]), so the spill chain own-slab → other slabs
-//! terminates without heap fallback in steady state; a heap fallback path
-//! still exists for safety and is *counted* when it fires.
+//! The slabs share a margin of `max_bin` entries for every domain but one
+//! on top of the flop, which guarantees a lease can never fail in *every*
+//! slab (see [`scratch_target_len`]), so the spill chain own-slab → other
+//! slabs terminates without heap fallback in steady state; a heap fallback
+//! path still exists for safety and is *counted* when it fires.
 //!
 //! # Concurrency
 //!
@@ -729,16 +729,18 @@ fn fill_usize(v: &mut Vec<usize>, needed: usize) -> Acquire {
     }
 }
 
-/// Scratch length that guarantees allocation-free sort-phase leases: an
-/// even per-domain share of the flop plus one `max_bin` margin per slab.
+/// Scratch length that guarantees allocation-free sort-phase leases: the
+/// flop plus one `max_bin` margin for every slab but one.
 ///
 /// The margin makes the spill chain total: suppose a lease of `n ≤ max_bin`
 /// entries failed in every slab.  Each slab's unusable remainder is then
-/// `< n`, so the reserved total exceeds `flop + domains·max_bin −
-/// domains·n ≥ flop` — but reservations never exceed the flop (every bin is
-/// leased at most once and the bins sum to the flop), a contradiction.
+/// `< n`, so the reserved total exceeds `flop + (domains−1)·max_bin −
+/// domains·n`, and adding the failed lease gives more than
+/// `flop + (domains−1)·(max_bin − n) ≥ flop` — but every bin is leased at
+/// most once and the bins sum to the flop, a contradiction.  One domain
+/// needs no margin: its single slab holds every bin.
 pub fn scratch_target_len(flop: usize, domains: usize, max_bin: usize) -> usize {
-    flop + domains.max(1) * max_bin
+    flop + (domains.max(1) - 1) * max_bin
 }
 
 /// Even cumulative slab boundaries of `len` scratch entries over `domains`
@@ -1022,15 +1024,36 @@ mod tests {
 
     #[test]
     fn scratch_margin_guarantees_worst_case_bins() {
-        // One giant bin (nbins = 1): target = flop + domains * flop, so a
-        // full-flop lease always fits in some slab even with 4 slabs.
-        let flop = 1000usize;
+        // Every order of leasing the bins must fit, whatever slab each
+        // lease starts from: bins of 100/500/400 with max_bin = 500.
+        let (flop, bins) = (1000usize, [100usize, 500, 400]);
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for domains in [1usize, 2, 3, 4] {
+            let target = scratch_target_len(flop, domains, 500);
+            assert_eq!(target, flop + (domains - 1) * 500);
+            for order in orders {
+                let stats = StatsCollector::new();
+                let mut lease = WorkspaceLease::<f64>::acquire(None);
+                lease.prepare_scratch(target, domains, zero(), &stats);
+                let slabs = lease.scratch_slabs(domains);
+                for b in order {
+                    assert!(slabs.lease(bins[b]).is_some(), "{domains} slabs, {order:?}");
+                }
+            }
+        }
+        // One giant bin (nbins = 1) fits even when split over 4 slabs.
         let target = scratch_target_len(flop, 4, flop);
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(None);
         lease.prepare_scratch(target, 4, zero(), &stats);
-        let slabs = lease.scratch_slabs(4);
-        assert!(slabs.lease(flop).is_some());
+        assert!(lease.scratch_slabs(4).lease(flop).is_some());
     }
 
     #[test]

@@ -409,19 +409,19 @@ pub fn error_line(msg: &str, id: Option<&Value>) -> String {
     serde_json::to_string(&object(fields)).expect("response serialisation cannot fail")
 }
 
-/// Order-sensitive FNV-1a fingerprint of a CSR matrix (dims, row pointers,
-/// column indices, value bits).  Bit-identical products — the batching
-/// guarantee — have equal fingerprints.
+/// Order-sensitive fingerprint of a CSR matrix, one 8-byte word per step.
+/// Starting from `h = 0xcbf2_9ce4_8422_2325`, each word `w` — `nrows`,
+/// `ncols`, the row pointers, the column indices, then the value bit
+/// patterns — sets `h = (h ^ w) · 0x0000_0100_0000_01b3` (wrapping), then
+/// rotates `h` left by 29 bits.  Every step is a bijection of `h`, so
+/// changing any one word changes the result; bit-identical products — the
+/// batching guarantee — have equal fingerprints.  `docs/API.md` publishes
+/// the same definition.
 pub fn fingerprint(m: &Csr<f64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const MULTIPLIER: u64 = 0x0000_0100_0000_01b3;
+    let mut h = SEED;
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(MULTIPLIER).rotate_left(29);
     mix(m.nrows() as u64);
     mix(m.ncols() as u64);
     for &p in m.rowptr() {
@@ -649,9 +649,25 @@ mod tests {
     #[test]
     fn fingerprint_distinguishes_matrices() {
         use pb_sparse::Coo;
-        let a = Coo::from_entries(2, 2, vec![(0, 1, 2.0)]).unwrap().to_csr();
-        let b = Coo::from_entries(2, 2, vec![(1, 0, 2.0)]).unwrap().to_csr();
-        assert_eq!(fingerprint(&a), fingerprint(&a));
-        assert_ne!(fingerprint(&a), fingerprint(&b));
+        let csr = |rows, cols, entries| Coo::from_entries(rows, cols, entries).unwrap().to_csr();
+        let a = csr(3, 4, vec![(0, 1, 1.5), (0, 3, -2.0), (2, 0, 0.25)]);
+        // Pinned to the docs/API.md formula, evaluated outside the crate.
+        assert_eq!(fingerprint(&a), 0xdc3a_96d4_1273_124f);
+
+        let flipped = f64::from_bits(1.5f64.to_bits() ^ 1);
+        let one_value_bit = csr(3, 4, vec![(0, 1, flipped), (0, 3, -2.0), (2, 0, 0.25)]);
+        let one_column = csr(3, 4, vec![(0, 1, 1.5), (0, 2, -2.0), (2, 0, 0.25)]);
+        let extra_empty_row = csr(4, 4, vec![(0, 1, 1.5), (0, 3, -2.0), (2, 0, 0.25)]);
+        let square = csr(3, 3, vec![(0, 1, 1.5), (0, 2, -2.0), (2, 0, 0.25)]);
+        let transposed = square.transpose();
+        assert_ne!(square.colidx(), transposed.colidx());
+        for (what, other, base) in [
+            ("one value bit", &one_value_bit, &a),
+            ("one column index", &one_column, &a),
+            ("one extra empty row", &extra_empty_row, &a),
+            ("transposition", &transposed, &square),
+        ] {
+            assert_ne!(fingerprint(other), fingerprint(base), "{what}");
+        }
     }
 }

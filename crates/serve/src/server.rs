@@ -104,6 +104,21 @@ struct State {
     load_dir: Option<std::path::PathBuf>,
 }
 
+impl State {
+    fn new(config: &ServeConfig) -> State {
+        State {
+            catalog: Mutex::new(Catalog::new(config.budget_bytes, config.algorithm)),
+            counters: ServerCounters::default(),
+            latency: OpLatencies::default(),
+            queue: miniloop::TaskQueue::new(),
+            shutdown: AtomicBool::new(false),
+            max_line_bytes: config.max_line_bytes,
+            slow_ms: config.slow_ms,
+            load_dir: config.load_dir.clone(),
+        }
+    }
+}
+
 /// A running server; dropping it requests shutdown.
 #[derive(Debug)]
 pub struct Server {
@@ -120,16 +135,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(State {
-            catalog: Mutex::new(Catalog::new(config.budget_bytes, config.algorithm)),
-            counters: ServerCounters::default(),
-            latency: OpLatencies::default(),
-            queue: miniloop::TaskQueue::new(),
-            shutdown: AtomicBool::new(false),
-            max_line_bytes: config.max_line_bytes,
-            slow_ms: config.slow_ms,
-            load_dir: config.load_dir.clone(),
-        });
+        let state = Arc::new(State::new(&config));
         let io = {
             let state = Arc::clone(&state);
             std::thread::Builder::new()
@@ -233,6 +239,11 @@ fn accept_all(listener: &TcpListener, state: &Arc<State>, conns: &mut Vec<Option
             Ok((stream, _)) => {
                 state.counters.connections.fetch_add(1, Ordering::Relaxed);
                 trace::instant(SpanName::ServeAccept, 0);
+                // Responses are written whole, so Nagle's algorithm only
+                // delays them: a small response could wait for the client
+                // to ACK the previous one.  A socket that refuses the
+                // option still answers correctly, so it is kept.
+                let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
@@ -1069,6 +1080,21 @@ mod tests {
             corr: corr_of(None),
             enqueued_nanos: trace::now_nanos(),
         }
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener.set_nonblocking(true).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let state = Arc::new(State::new(&ServeConfig::default()));
+        // Like the reactor, accept once the listener polls readable.
+        let fd = listener.as_raw_fd() as miniloop::RawFd;
+        miniloop::poll_readable(&[(fd, 0)], Duration::from_secs(10)).expect("poll");
+        let mut conns = Vec::new();
+        accept_all(&listener, &state, &mut conns);
+        let conn = conns.first().and_then(Option::as_ref).expect("accepted");
+        assert!(conn.stream.nodelay().unwrap(), "TCP_NODELAY not set");
     }
 
     #[test]
