@@ -73,7 +73,9 @@ pub fn esc_column_spgemm_with<S: Semiring>(a: &Csr<S::Elem>, b: &Csr<S::Elem>) -
         segments
             .into_par_iter()
             .map(|seg| {
-                seg.sort_unstable_by_key(|&(c, _)| c);
+                // Stable: expand wrote each row's products in ascending k,
+                // so equal columns are summed in the reference's order.
+                seg.sort_by_key(|&(c, _)| c);
                 let mut cols: Vec<Index> = Vec::new();
                 let mut vals: Vec<S::Elem> = Vec::new();
                 for &(c, v) in seg.iter() {

@@ -1,37 +1,13 @@
-//! Criterion micro-benchmarks of the expand-phase ablations: reserved
-//! (unsafe, paper design) vs thread-local flushing, range vs modulo bin
-//! mapping, the effect of the local-bin width, and the flush-prefetch
-//! ablation (forced-scalar dispatch disables the destination-line prefetch,
-//! so scalar-vs-best isolates its contribution on the same workload).
+//! Criterion micro-benchmarks of the expand-phase ablations: the effect of
+//! the local-bin width, and the flush-prefetch ablation (forced-scalar
+//! dispatch disables the destination-line prefetch, so scalar-vs-best
+//! isolates its contribution on the same workload).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use pb_gen::erdos_renyi_square;
-use pb_spgemm::{simd, BinMapping, ExpandStrategy, PbConfig, SpGemm};
-
-fn bench_expand_strategies(c: &mut Criterion) {
-    let a = erdos_renyi_square(12, 8, 11);
-    let a_csc = a.to_csc();
-    let mut group = c.benchmark_group("expand_strategy");
-    group.sample_size(10);
-    for (name, strategy) in [
-        ("reserved", ExpandStrategy::Reserved),
-        ("thread_local", ExpandStrategy::ThreadLocal),
-    ] {
-        for (map_name, mapping) in [("range", BinMapping::Range), ("modulo", BinMapping::Modulo)] {
-            let engine = SpGemm::pb().config(
-                PbConfig::default()
-                    .with_expand(strategy)
-                    .with_bin_mapping(mapping),
-            );
-            group.bench_function(BenchmarkId::new(name, map_name), |bench| {
-                bench.iter(|| black_box(engine.multiply_csc(&a_csc, &a)));
-            });
-        }
-    }
-    group.finish();
-}
+use pb_spgemm::{simd, PbConfig, SpGemm};
 
 fn bench_local_bin_width(c: &mut Criterion) {
     let a = erdos_renyi_square(12, 8, 12);
@@ -63,10 +39,5 @@ fn bench_flush_prefetch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_expand_strategies,
-    bench_local_bin_width,
-    bench_flush_prefetch
-);
+criterion_group!(benches, bench_local_bin_width, bench_flush_prefetch);
 criterion_main!(benches);

@@ -12,8 +12,7 @@
 //!
 //! Each sweep point also embeds a [`Telemetry`] section — the runtime
 //! [`PhaseStats`](pb_spgemm::PhaseStats) of a profiled run at that thread
-//! count — and `--tune` runs attach a [`TuneReport`] documenting the
-//! [`AutoTune`](pb_spgemm::AutoTune) convergence trajectory.
+//! count.
 
 use std::sync::Arc;
 
@@ -60,45 +59,6 @@ pub struct SweepPoint {
     pub phases: PhaseSeconds,
     /// Runtime telemetry of that profiled run.
     pub telemetry: Telemetry,
-}
-
-/// One iteration of an autotuning run.
-#[derive(Debug, Clone, Serialize)]
-pub struct TunePoint {
-    /// Iteration index (0 = first multiply).
-    pub iteration: usize,
-    /// Local-bin width (cache lines) this multiply ran with.
-    pub local_bin_lines: usize,
-    /// Local-bin capacity (tuples) this multiply ran with.
-    pub local_bin_capacity: usize,
-    /// Flushes this multiply performed.
-    pub flushes: u64,
-    /// Mean tuples per flush.
-    pub mean_flush_tuples: f64,
-    /// Wall-clock seconds of the multiply.
-    pub seconds: f64,
-}
-
-/// Convergence report of a `bench_pb --tune` run.
-#[derive(Debug, Clone, Serialize)]
-pub struct TuneReport {
-    /// Local-bin width (cache lines) the tuner started from.
-    pub start_lines: usize,
-    /// Width the tuner converged to.
-    pub converged_lines: usize,
-    /// Converged width in bytes (what `PbConfig::local_bin_bytes` would be
-    /// set to statically).
-    pub converged_local_bin_bytes: usize,
-    /// Converged capacity in tuples.
-    pub converged_local_bin_capacity: usize,
-    /// Multiplies executed before convergence (or the cap).
-    pub iterations: usize,
-    /// Whether the width stopped changing before the iteration cap.
-    pub converged: bool,
-    /// Grow/shrink steps the policy applied.
-    pub adjustments: usize,
-    /// Per-iteration trajectory.
-    pub history: Vec<TunePoint>,
 }
 
 /// The NUMA topology the baseline ran under, as discovered (or forced) at
@@ -168,8 +128,6 @@ pub struct PbBaseline {
     /// squared under a starvation budget that forces spills, gated on
     /// bit-identity to the resident product and on the resident-bytes bound.
     pub tiled: TiledOocReport,
-    /// Autotuning convergence report (`--tune` runs only).
-    pub tune: Option<TuneReport>,
     /// Planner regret sweep (`--planner` runs only, schema v4): every
     /// candidate kernel measured per corpus point, plus the calibrated
     /// planner's pick and its regret vs best-in-hindsight.
@@ -357,7 +315,7 @@ pub fn run_pb_baseline(max_threads: usize, reps: usize) -> PbBaseline {
 }
 
 /// Convenience wrapper: builds [`baseline_workload`] at the given scale and
-/// sweeps it.  Callers that also tune or verify on the same workload should
+/// sweeps it.  Callers that also verify on the same workload should
 /// build it once and use [`run_pb_baseline_on`] instead (workload
 /// construction includes a full symbolic product for `nnz_c`).
 pub fn run_pb_baseline_scaled(scale: u32, max_threads: usize, reps: usize) -> PbBaseline {
@@ -429,7 +387,6 @@ pub fn run_pb_baseline_on(w: &Workload, max_threads: usize, reps: usize) -> PbBa
         best_speedup,
         workspace: run_workspace_reuse(w, WORKSPACE_SMOKE_MULTIPLIES),
         tiled: run_tiled_ooc(w),
-        tune: None,
         planner: None,
     }
 }
@@ -444,66 +401,6 @@ pub const SCHEMA_TAG: &str = "pb-bench-baseline/v7";
 /// last one is unambiguously steady-state (the arena is populated by the
 /// first and the high-water mark cannot move after it on a fixed shape).
 pub const WORKSPACE_SMOKE_MULTIPLIES: usize = 3;
-
-/// Runs repeated multiplies with an auto-tuned config until the local-bin
-/// width stops changing (two consecutive stable multiplies) or `max_iters`
-/// is hit, and reports the trajectory.
-///
-/// Starts from `start_lines` cache lines — `bench_pb --tune` uses 1, a
-/// deliberately bad setting, so the report shows the policy walking back to
-/// a sensible width instead of trivially confirming the default.
-pub fn run_autotune(workload: &Workload, start_lines: usize, max_iters: usize) -> TuneReport {
-    let cfg = PbConfig::auto_tuned_from_lines(start_lines);
-    let tuner_start = cfg.auto_tune().expect("auto-tuned config").lines();
-    // One dedicated pool for the whole convergence loop, built once outside
-    // it: the loop measures the autotuner walking the local-bin width, and
-    // pool construction per multiply would be pure measurement noise.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(rayon::current_num_threads())
-        .build()
-        .expect("rayon pool");
-    let mut history = Vec::new();
-    let mut stable = 0usize;
-    let mut converged = false;
-    for iteration in 0..max_iters.max(1) {
-        let before = cfg.auto_tune().expect("auto-tuned config").lines();
-        let profile = pool.install(|| measure_pb_profile(workload, &cfg));
-        let after = cfg.auto_tune().expect("auto-tuned config").lines();
-        history.push(TunePoint {
-            iteration,
-            local_bin_lines: before,
-            local_bin_capacity: profile.stats.local_bin_capacity,
-            flushes: profile.stats.flushes,
-            mean_flush_tuples: profile.stats.mean_flush_tuples(),
-            seconds: profile.timings.total().as_secs_f64(),
-        });
-        if after == before {
-            stable += 1;
-            if stable >= 2 {
-                converged = true;
-                break;
-            }
-        } else {
-            stable = 0;
-        }
-    }
-    let tuner = cfg.auto_tune().expect("auto-tuned config");
-    let converged_bytes = tuner.local_bin_bytes();
-    TuneReport {
-        start_lines: tuner_start,
-        converged_lines: tuner.lines(),
-        converged_local_bin_bytes: converged_bytes,
-        // Derived from the *final* width, not the last run's capacity: when
-        // the loop exits via the iteration cap right after an adjustment,
-        // the last history point ran at the pre-adjustment width and would
-        // disagree with converged_lines/bytes.
-        converged_local_bin_capacity: pb_spgemm::expand::local_bin_capacity::<f64>(converged_bytes),
-        iterations: history.len(),
-        converged,
-        adjustments: tuner.adjustments(),
-        history,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -554,8 +451,7 @@ mod tests {
                 p.telemetry.flushes
             );
         }
-        // No --tune / --planner sections on plain runs.
-        assert!(json.contains("\"tune\": null"));
+        // No --planner section on plain runs.
         assert!(json.contains("\"planner\": null"));
         // The workspace reuse report always rides along (schema v3) and
         // must show a healthy steady state on a fixed-shape repeat.
@@ -587,25 +483,5 @@ mod tests {
         assert!(wsr.steady_bytes_reused > 0);
         assert!(wsr.steady_workspace_hits > 0);
         assert!(wsr.bit_identical_to_fresh);
-    }
-
-    #[test]
-    fn autotune_report_converges_from_a_bad_start() {
-        let w = rmat_matrix(8, 8, 42);
-        let report = run_autotune(&w, 1, 12);
-        assert_eq!(report.start_lines, 1);
-        assert!(report.converged, "tuner did not settle: {report:?}");
-        // From 1 line the policy can only grow; on this workload it walks
-        // to the paper's default width.
-        assert!(report.converged_lines >= report.start_lines);
-        assert_eq!(report.iterations, report.history.len());
-        assert!(report.history[0].local_bin_lines == 1);
-        // Trajectory is monotone non-decreasing (pure growth run).
-        assert!(report
-            .history
-            .windows(2)
-            .all(|w| w[1].local_bin_lines >= w[0].local_bin_lines));
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("converged_local_bin_bytes"));
     }
 }

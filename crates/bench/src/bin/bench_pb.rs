@@ -13,9 +13,6 @@
 //!
 //! * `--smoke` — CI-sized run: R-MAT scale 10 instead of 12, one
 //!   repetition per point.
-//! * `--tune` — additionally run the [`AutoTune`](pb_spgemm::AutoTune)
-//!   loop from a deliberately tiny local-bin width (1 cache line) and
-//!   attach the convergence report (`tune` section) to the JSON.
 //! * `--planner` — additionally run the [`Planner`](pb_spgemm::Planner)
 //!   regret sweep: measure every candidate kernel on a small corpus of
 //!   diverse-compression-factor workloads, calibrate a fresh planner from
@@ -41,7 +38,7 @@
 //!   floor, flop accounting), printing a per-thread-count diff summary
 //!   between the committed numbers and this run's fresh ones.
 
-use pb_bench::baseline::{baseline_workload, run_autotune, run_pb_baseline_on, SCHEMA_TAG};
+use pb_bench::baseline::{baseline_workload, run_pb_baseline_on, SCHEMA_TAG};
 use pb_bench::planner::{run_planner_sweep, PLANNER_REGRET_CEILING};
 use pb_bench::workloads::Workload;
 use pb_bench::{fmt, print_table, Table};
@@ -53,10 +50,6 @@ use serde_json::Value;
 /// (an accidentally quadratic phase, a deadlocked pool).
 const PHASE_SANITY_CEILING_SECONDS: f64 = 120.0;
 
-/// Multiply cap for the `--tune` convergence loop (the policy converges in
-/// `O(log lines)` steps, so 16 leaves ample slack).
-const TUNE_MAX_ITERS: usize = 16;
-
 /// Minimum domain-local flush fraction `--verify` demands of every
 /// multi-domain sweep point.  Flop-balanced column ranges plus the pool's
 /// own-domain-first claiming keep remote flushes down to the occasional
@@ -67,7 +60,6 @@ const NUMA_LOCAL_FLUSH_FLOOR: f64 = 0.95;
 
 fn main() {
     let mut smoke = false;
-    let mut tune = false;
     let mut planner = false;
     let mut verify = false;
     let mut gate_path: Option<String> = None;
@@ -76,7 +68,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--tune" => tune = true,
             "--planner" => planner = true,
             "--verify" => verify = true,
             "--gate" => match args.next() {
@@ -87,9 +78,7 @@ fn main() {
                 }
             },
             flag if flag.starts_with("--") => {
-                eprintln!(
-                    "unknown flag {flag} (known: --smoke --tune --planner --verify --gate PATH)"
-                );
+                eprintln!("unknown flag {flag} (known: --smoke --planner --verify --gate PATH)");
                 std::process::exit(2);
             }
             path => out_path = path.to_string(),
@@ -104,9 +93,9 @@ fn main() {
     };
     let max_threads = rayon::current_num_threads();
 
-    // One workload serves the sweep, the tune loop and the verification
-    // oracle — construction includes a full symbolic product, so building
-    // it per consumer would triple that cost.
+    // One workload serves the sweep and the verification oracle —
+    // construction includes a full symbolic product, so building it per
+    // consumer would double that cost.
     let w = baseline_workload(scale);
     let mut doc = run_pb_baseline_on(&w, max_threads, reps);
 
@@ -160,44 +149,6 @@ fn main() {
         t.resident_high_water,
         t.bit_identical_to_resident,
     );
-
-    if tune {
-        let report = run_autotune(&w, 1, TUNE_MAX_ITERS);
-        let mut table = Table::new(
-            format!(
-                "AutoTune trajectory — start {} line(s), converged {} lines ({} B, {} tuples) \
-                 after {} multiplies",
-                report.start_lines,
-                report.converged_lines,
-                report.converged_local_bin_bytes,
-                report.converged_local_bin_capacity,
-                report.iterations,
-            ),
-            &[
-                "iter",
-                "lines",
-                "capacity",
-                "flushes",
-                "mean flush",
-                "seconds",
-            ],
-        );
-        for p in &report.history {
-            table.push_row(vec![
-                p.iteration.to_string(),
-                p.local_bin_lines.to_string(),
-                p.local_bin_capacity.to_string(),
-                p.flushes.to_string(),
-                fmt(p.mean_flush_tuples, 1),
-                fmt(p.seconds, 6),
-            ]);
-        }
-        print_table(&table);
-        if !report.converged {
-            eprintln!("warning: autotuner did not settle within {TUNE_MAX_ITERS} multiplies");
-        }
-        doc.tune = Some(report);
-    }
 
     if planner {
         let report = run_planner_sweep(smoke || pb_bench::quick_mode(), reps);

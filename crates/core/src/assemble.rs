@@ -164,7 +164,6 @@ fn assemble_core<V: Scalar>(
 mod tests {
     use super::*;
     use crate::bins::{BinLayout, Entry};
-    use crate::config::BinMapping;
 
     /// Builds BinnedTuples from explicit (row, col, val) triplets already
     /// grouped and sorted per bin.
@@ -172,10 +171,9 @@ mod tests {
         nrows: usize,
         ncols: usize,
         nbins: usize,
-        mapping: BinMapping,
         triplets: &[(u32, u32, f64)],
     ) -> BinnedTuples<f64> {
-        let layout = BinLayout::new(nrows, ncols, nbins, mapping);
+        let layout = BinLayout::new(nrows, ncols, nbins);
         let mut per_bin: Vec<Vec<Entry<f64>>> = vec![Vec::new(); layout.nbins];
         for &(r, c, v) in triplets {
             per_bin[layout.bin_of(r)].push(Entry {
@@ -211,7 +209,7 @@ mod tests {
             (3, 3, 4.0),
             (5, 2, 5.0),
         ];
-        let tuples = build(6, 4, 3, BinMapping::Range, &triplets);
+        let tuples = build(6, 4, 3, &triplets);
         let c = assemble(&tuples, &StatsCollector::new());
         assert_eq!(c.shape(), (6, 4));
         assert_eq!(c.nnz(), 5);
@@ -226,29 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn assembles_with_modulo_mapping() {
-        let triplets = [
-            (0u32, 0u32, 1.0),
-            (1, 1, 2.0),
-            (2, 2, 3.0),
-            (3, 0, 4.0),
-            (4, 4, 5.0),
-        ];
-        let tuples = build(5, 5, 2, BinMapping::Modulo, &triplets);
-        let c = assemble(&tuples, &StatsCollector::new());
-        assert_eq!(c.nnz(), 5);
-        for &(r, cc, v) in &triplets {
-            assert_eq!(c.get(r as usize, cc as usize), Some(v));
-        }
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn empty_rows_and_empty_bins() {
         // Rows 1..9 are empty; bin 1 (rows 4..8 with 3 bins over 10 rows) has
         // no tuples at all.
         let triplets = [(0u32, 0u32, 1.0), (9, 9, 2.0)];
-        let tuples = build(10, 10, 3, BinMapping::Range, &triplets);
+        let tuples = build(10, 10, 3, &triplets);
         let stats = StatsCollector::new();
         let c = assemble(&tuples, &stats);
         assert_eq!(stats.snapshot().nonempty_rows, 2);
@@ -260,7 +240,7 @@ mod tests {
 
     #[test]
     fn completely_empty_product() {
-        let tuples = build(4, 4, 2, BinMapping::Range, &[]);
+        let tuples = build(4, 4, 2, &[]);
         let c = assemble(&tuples, &StatsCollector::new());
         assert_eq!(c.shape(), (4, 4));
         assert_eq!(c.nnz(), 0);
@@ -271,7 +251,7 @@ mod tests {
     fn dense_row_is_assembled_in_column_order() {
         let triplets: Vec<(u32, u32, f64)> =
             (0..32u32).rev().map(|c| (3u32, c, c as f64)).collect();
-        let tuples = build(8, 32, 4, BinMapping::Range, &triplets);
+        let tuples = build(8, 32, 4, &triplets);
         let c = assemble(&tuples, &StatsCollector::new());
         assert_eq!(c.row_nnz(3), 32);
         let (cols, vals) = c.row(3);

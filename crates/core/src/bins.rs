@@ -2,16 +2,14 @@
 //! tuple container shared by the expand, sort, compress and assemble phases.
 //!
 //! A *bin* holds the expanded tuples whose output row falls into the bin's
-//! row set.  With the default [`BinMapping::Range`] mapping each bin covers
-//! a contiguous range of `rows_per_bin` rows, which lets the sort key store
-//! only the row's offset inside the bin (`log2(rows_per_bin)` bits) next to
-//! the column index — the paper's "squeeze keys into fewer bytes"
-//! optimisation (Sec. III-D) that reduces the number of radix passes.
+//! row range: each bin covers a contiguous range of `rows_per_bin` rows,
+//! which lets the sort key store only the row's offset inside the bin
+//! (`log2(rows_per_bin)` bits) next to the column index — the paper's
+//! "squeeze keys into fewer bytes" optimisation (Sec. III-D) that reduces
+//! the number of radix passes.
 
 use pb_sparse::stats::bits_needed;
 use pb_sparse::Index;
-
-use crate::config::BinMapping;
 
 /// One expanded tuple: the packed `(row, col)` key and the multiplied value.
 ///
@@ -25,14 +23,9 @@ pub struct Entry<V> {
     pub val: V,
 }
 
-/// Geometry of the propagation bins for one multiplication.
-///
-/// With [`BinMapping::Range`] and [`BinMapping::Modulo`] the mapping is a
-/// closed-form function of the row index.  With [`BinMapping::Balanced`] the
-/// bins cover contiguous row ranges whose boundaries were chosen by the
-/// symbolic phase to equalise the flop per bin; the boundaries are stored in
-/// [`BinLayout::row_starts`] (shared via `Arc`, so cloning a layout is
-/// cheap).
+/// Geometry of the propagation bins for one multiplication: bin `b`
+/// covers rows `b · rows_per_bin .. (b + 1) · rows_per_bin` (the last bin
+/// may cover fewer).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinLayout {
     /// Rows of the output matrix.
@@ -41,46 +34,23 @@ pub struct BinLayout {
     pub ncols: usize,
     /// Number of global bins.
     pub nbins: usize,
-    /// Row→bin mapping strategy.
-    pub mapping: BinMapping,
-    /// Rows covered by each bin under the `Range` mapping (last bin may
-    /// cover fewer).  Unused by the `Balanced` mapping.
+    /// Rows covered by each bin (the last bin may cover fewer).
     pub rows_per_bin: usize,
     /// Bits used for the column index inside the packed key.
     pub col_bits: u32,
-    /// Bits used for the (local or global) row index inside the packed key.
+    /// Bits used for the row offset inside the bin in the packed key.
     pub row_bits: u32,
-    /// Bin boundaries for the `Balanced` mapping: bin `b` covers rows
-    /// `row_starts[b]..row_starts[b + 1]` (`nbins + 1` entries).  `None` for
-    /// the closed-form mappings.
-    pub row_starts: Option<std::sync::Arc<[Index]>>,
 }
 
 impl BinLayout {
     /// Computes the layout for an output matrix of the given shape.
-    ///
-    /// For [`BinMapping::Balanced`] this constructor produces *uniform*
-    /// boundaries (equivalent to `Range`); the flop-balanced boundaries come
-    /// from [`BinLayout::balanced`], which the symbolic phase calls once it
-    /// knows the per-row flop distribution.
-    pub fn new(nrows: usize, ncols: usize, nbins: usize, mapping: BinMapping) -> Self {
+    pub fn new(nrows: usize, ncols: usize, nbins: usize) -> Self {
         let nbins = nbins.clamp(1, nrows.max(1));
         let rows_per_bin = nrows.div_ceil(nbins).max(1);
-        if mapping == BinMapping::Balanced {
-            let starts: Vec<Index> = (0..=nbins)
-                .map(|b| (b * rows_per_bin).min(nrows) as Index)
-                .collect();
-            return Self::balanced(nrows, ncols, starts);
-        }
-        // With the Range mapping the row part of the key only needs to cover
-        // the offset inside a bin; with Modulo it must cover the full row
-        // index.
-        let row_span = match mapping {
-            BinMapping::Range => rows_per_bin,
-            BinMapping::Modulo | BinMapping::Balanced => nrows.max(1),
-        };
+        // The row part of the key only needs to cover the offset inside a
+        // bin.
         let col_bits = bits_needed(ncols.saturating_sub(1) as u64);
-        let row_bits = bits_needed(row_span.saturating_sub(1) as u64);
+        let row_bits = bits_needed(rows_per_bin.saturating_sub(1) as u64);
         assert!(
             col_bits + row_bits <= 64,
             "packed key does not fit in 64 bits ({row_bits} row bits + {col_bits} column bits)"
@@ -89,61 +59,10 @@ impl BinLayout {
             nrows,
             ncols,
             nbins,
-            mapping,
             rows_per_bin,
             col_bits,
             row_bits,
-            row_starts: None,
         }
-    }
-
-    /// Builds a [`BinMapping::Balanced`] layout from explicit bin boundaries.
-    ///
-    /// `row_starts` must start at 0, end at `nrows`, and be non-decreasing;
-    /// bin `b` covers rows `row_starts[b]..row_starts[b + 1]`.
-    pub fn balanced(nrows: usize, ncols: usize, row_starts: Vec<Index>) -> Self {
-        assert!(row_starts.len() >= 2, "at least one bin is required");
-        assert_eq!(row_starts[0], 0, "the first bin must start at row 0");
-        assert_eq!(
-            *row_starts.last().unwrap() as usize,
-            nrows,
-            "the last bin must end at nrows"
-        );
-        assert!(
-            row_starts.windows(2).all(|w| w[0] <= w[1]),
-            "bin boundaries must be non-decreasing"
-        );
-        let nbins = row_starts.len() - 1;
-        let max_span = row_starts
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let col_bits = bits_needed(ncols.saturating_sub(1) as u64);
-        let row_bits = bits_needed(max_span.saturating_sub(1) as u64);
-        assert!(
-            col_bits + row_bits <= 64,
-            "packed key does not fit in 64 bits ({row_bits} row bits + {col_bits} column bits)"
-        );
-        BinLayout {
-            nrows,
-            ncols,
-            nbins,
-            mapping: BinMapping::Balanced,
-            rows_per_bin: nrows.div_ceil(nbins).max(1),
-            col_bits,
-            row_bits,
-            row_starts: Some(row_starts.into()),
-        }
-    }
-
-    /// The balanced-mapping boundary table.
-    #[inline]
-    fn starts(&self) -> &[Index] {
-        self.row_starts
-            .as_deref()
-            .expect("Balanced layouts always carry their boundary table")
     }
 
     /// Number of bins actually used (bins can be empty but never exceed the
@@ -153,28 +72,16 @@ impl BinLayout {
         self.nbins
     }
 
-    /// First row covered by `bin` (contiguous mappings only).
+    /// First row covered by `bin`.
     #[inline]
     pub fn bin_row_start(&self, bin: usize) -> usize {
-        match self.mapping {
-            BinMapping::Range => bin * self.rows_per_bin,
-            BinMapping::Balanced => self.starts()[bin] as usize,
-            BinMapping::Modulo => panic!("the Modulo mapping has no contiguous bin start"),
-        }
+        bin * self.rows_per_bin
     }
 
     /// The bin that receives tuples of output row `row`.
     #[inline]
     pub fn bin_of(&self, row: Index) -> usize {
-        match self.mapping {
-            BinMapping::Range => (row as usize) / self.rows_per_bin,
-            BinMapping::Modulo => (row as usize) % self.nbins,
-            BinMapping::Balanced => {
-                let starts = self.starts();
-                // starts[b] <= row < starts[b + 1]
-                starts.partition_point(|&s| s <= row).saturating_sub(1)
-            }
-        }
+        (row as usize) / self.rows_per_bin
     }
 
     /// Packs `(row, col)` into the sort key used inside `row`'s bin.
@@ -188,30 +95,17 @@ impl BinLayout {
 
     /// Pre-shifted row part of the key for `row`; OR it with a column index
     /// to obtain the full key.  Hoisting this out of the inner expand loop
-    /// avoids one division (or boundary search) per tuple.
+    /// avoids one division per tuple.
     #[inline]
     pub fn pack_row(&self, row: Index) -> u64 {
-        let row_part = match self.mapping {
-            BinMapping::Range => (row as usize % self.rows_per_bin) as u64,
-            BinMapping::Modulo => row as u64,
-            BinMapping::Balanced => {
-                let start = self.starts()[self.bin_of(row)];
-                (row - start) as u64
-            }
-        };
-        row_part << self.col_bits
+        ((row as usize % self.rows_per_bin) as u64) << self.col_bits
     }
 
     /// Recovers `(row, col)` from a packed key, given the bin it came from.
     #[inline]
     pub fn unpack(&self, bin: usize, key: u64) -> (Index, Index) {
         let col = (key & ((1u64 << self.col_bits) - 1)) as Index;
-        let row_part = key >> self.col_bits;
-        let row = match self.mapping {
-            BinMapping::Range => (bin * self.rows_per_bin) as u64 + row_part,
-            BinMapping::Modulo => row_part,
-            BinMapping::Balanced => self.starts()[bin] as u64 + row_part,
-        };
+        let row = (bin * self.rows_per_bin) as u64 + (key >> self.col_bits);
         (row as Index, col)
     }
 
@@ -224,26 +118,11 @@ impl BinLayout {
 
     /// Number of rows mapped to `bin`.
     pub fn bin_row_count(&self, bin: usize) -> usize {
-        match self.mapping {
-            BinMapping::Range => {
-                let start = bin * self.rows_per_bin;
-                if start >= self.nrows {
-                    0
-                } else {
-                    (self.nrows - start).min(self.rows_per_bin)
-                }
-            }
-            BinMapping::Modulo => {
-                if bin >= self.nbins || self.nrows == 0 {
-                    0
-                } else {
-                    (self.nrows - bin).div_ceil(self.nbins)
-                }
-            }
-            BinMapping::Balanced => {
-                let starts = self.starts();
-                (starts[bin + 1] - starts[bin]) as usize
-            }
+        let start = bin * self.rows_per_bin;
+        if start >= self.nrows {
+            0
+        } else {
+            (self.nrows - start).min(self.rows_per_bin)
         }
     }
 }
@@ -299,7 +178,7 @@ mod tests {
 
     #[test]
     fn range_mapping_assigns_contiguous_blocks() {
-        let l = BinLayout::new(100, 50, 4, BinMapping::Range);
+        let l = BinLayout::new(100, 50, 4);
         assert_eq!(l.rows_per_bin, 25);
         assert_eq!(l.bin_of(0), 0);
         assert_eq!(l.bin_of(24), 0);
@@ -309,20 +188,8 @@ mod tests {
     }
 
     #[test]
-    fn modulo_mapping_round_robins() {
-        let l = BinLayout::new(10, 10, 4, BinMapping::Modulo);
-        assert_eq!(l.bin_of(0), 0);
-        assert_eq!(l.bin_of(5), 1);
-        assert_eq!(l.bin_of(7), 3);
-        // 10 rows over 4 bins: 3 + 3 + 2 + 2.
-        let counts: Vec<usize> = (0..4).map(|b| l.bin_row_count(b)).collect();
-        assert_eq!(counts, vec![3, 3, 2, 2]);
-        assert_eq!(counts.iter().sum::<usize>(), 10);
-    }
-
-    #[test]
     fn pack_unpack_roundtrip_range() {
-        let l = BinLayout::new(1 << 20, 1 << 20, 1024, BinMapping::Range);
+        let l = BinLayout::new(1 << 20, 1 << 20, 1024);
         // 1M rows over 1024 bins -> 1024 rows per bin -> 10 row bits,
         // 20 column bits: 30-bit keys, i.e. 4 radix bytes (the paper's
         // "squeeze into 4-byte keys" example).
@@ -348,20 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip_modulo() {
-        let l = BinLayout::new(5000, 3000, 7, BinMapping::Modulo);
-        for &(r, c) in &[(0u32, 0u32), (4999, 2999), (1234, 5), (4321, 2998)] {
-            let bin = l.bin_of(r);
-            let key = l.pack(r, c);
-            assert_eq!(l.unpack(bin, key), (r, c));
-        }
-        // Modulo cannot compress the row part.
-        assert_eq!(l.row_bits, bits_needed(4999));
-    }
-
-    #[test]
     fn keys_sort_in_row_major_order_within_a_bin() {
-        let l = BinLayout::new(64, 64, 8, BinMapping::Range);
+        let l = BinLayout::new(64, 64, 8);
         // Rows 8..16 share bin 1; their keys must sort by (row, col).
         let mut keys: Vec<(u64, (Index, Index))> = Vec::new();
         for r in 8..16u32 {
@@ -379,98 +234,25 @@ mod tests {
 
     #[test]
     fn single_bin_and_tiny_matrices() {
-        let l = BinLayout::new(1, 1, 1, BinMapping::Range);
+        let l = BinLayout::new(1, 1, 1);
         assert_eq!(l.bin_of(0), 0);
         assert_eq!(l.unpack(0, l.pack(0, 0)), (0, 0));
         assert_eq!(l.key_bytes(), 1);
 
-        let l = BinLayout::new(10, 10, 100, BinMapping::Range);
+        let l = BinLayout::new(10, 10, 100);
         assert_eq!(l.nbins, 10, "nbins is clamped to the number of rows");
     }
 
     #[test]
     fn key_bytes_shrink_with_more_bins() {
-        let few = BinLayout::new(1 << 20, 1 << 10, 2, BinMapping::Range);
-        let many = BinLayout::new(1 << 20, 1 << 10, 4096, BinMapping::Range);
+        let few = BinLayout::new(1 << 20, 1 << 10, 2);
+        let many = BinLayout::new(1 << 20, 1 << 10, 4096);
         assert!(many.key_bytes() < few.key_bytes());
-        // Modulo mapping gains nothing from more bins.
-        let modulo = BinLayout::new(1 << 20, 1 << 10, 4096, BinMapping::Modulo);
-        assert_eq!(
-            modulo.key_bytes(),
-            BinLayout::new(1 << 20, 1 << 10, 2, BinMapping::Modulo).key_bytes()
-        );
-    }
-
-    #[test]
-    fn balanced_layout_roundtrips_and_counts_rows() {
-        // Bins: [0, 3), [3, 4), [4, 10) — a narrow bin around a heavy row.
-        let l = BinLayout::balanced(10, 100, vec![0, 3, 4, 10]);
-        assert_eq!(l.nbins(), 3);
-        assert_eq!(l.mapping, BinMapping::Balanced);
-        assert_eq!(l.bin_of(0), 0);
-        assert_eq!(l.bin_of(2), 0);
-        assert_eq!(l.bin_of(3), 1);
-        assert_eq!(l.bin_of(4), 2);
-        assert_eq!(l.bin_of(9), 2);
-        assert_eq!(
-            (0..3).map(|b| l.bin_row_count(b)).collect::<Vec<_>>(),
-            vec![3, 1, 6]
-        );
-        assert_eq!(l.bin_row_start(2), 4);
-        for &(r, c) in &[(0u32, 0u32), (2, 99), (3, 50), (9, 1)] {
-            let bin = l.bin_of(r);
-            let key = l.pack(r, c);
-            assert_eq!(l.unpack(bin, key), (r, c));
-            assert_eq!(l.pack_row(r) | c as u64, key);
-        }
-        // The widest bin spans 6 rows, so only 3 row bits are needed.
-        assert_eq!(l.row_bits, 3);
-    }
-
-    #[test]
-    fn balanced_keys_sort_in_row_major_order_within_a_bin() {
-        let l = BinLayout::balanced(16, 16, vec![0, 5, 6, 16]);
-        let mut keys: Vec<(u64, (Index, Index))> = Vec::new();
-        for r in 6..16u32 {
-            for c in [0u32, 3, 15] {
-                keys.push((l.pack(r, c), (r, c)));
-            }
-        }
-        let mut sorted = keys.clone();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        let coords: Vec<_> = sorted.iter().map(|&(_, rc)| rc).collect();
-        let mut expected: Vec<_> = keys.iter().map(|&(_, rc)| rc).collect();
-        expected.sort_unstable();
-        assert_eq!(coords, expected);
-    }
-
-    #[test]
-    fn balanced_fallback_from_new_is_uniform() {
-        let l = BinLayout::new(100, 50, 4, BinMapping::Balanced);
-        assert_eq!(l.mapping, BinMapping::Balanced);
-        assert_eq!(l.nbins(), 4);
-        assert_eq!((0..4).map(|b| l.bin_row_count(b)).sum::<usize>(), 100);
-        assert_eq!(l.bin_of(0), 0);
-        assert_eq!(l.bin_of(99), 3);
-        let key = l.pack(67, 13);
-        assert_eq!(l.unpack(l.bin_of(67), key), (67, 13));
-    }
-
-    #[test]
-    #[should_panic(expected = "start at row 0")]
-    fn balanced_boundaries_must_start_at_zero() {
-        let _ = BinLayout::balanced(10, 10, vec![1, 10]);
-    }
-
-    #[test]
-    #[should_panic(expected = "end at nrows")]
-    fn balanced_boundaries_must_cover_all_rows() {
-        let _ = BinLayout::balanced(10, 10, vec![0, 5]);
     }
 
     #[test]
     fn binned_tuples_accessors() {
-        let layout = BinLayout::new(4, 4, 2, BinMapping::Range);
+        let layout = BinLayout::new(4, 4, 2);
         let bt = BinnedTuples {
             entries: vec![
                 Entry { key: 1, val: 1.0 },

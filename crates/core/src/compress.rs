@@ -77,7 +77,6 @@ pub fn compress_slice<S: Semiring>(seg: &mut [Entry<S::Elem>]) -> usize {
 mod tests {
     use super::*;
     use crate::bins::BinLayout;
-    use crate::config::BinMapping;
     use pb_sparse::semiring::{MinPlus, PlusTimes};
 
     type S = PlusTimes<f64>;
@@ -133,7 +132,7 @@ mod tests {
 
     #[test]
     fn compress_bins_updates_lengths_per_bin() {
-        let layout = BinLayout::new(8, 8, 2, BinMapping::Range);
+        let layout = BinLayout::new(8, 8, 2);
         let mut tuples = BinnedTuples {
             entries: entries(&[(0, 1.0), (0, 1.0), (3, 2.0), (1, 5.0), (1, 5.0), (1, 5.0)]),
             bin_offsets: vec![0, 3, 6],

@@ -258,8 +258,8 @@ impl SpGemm {
         self.ensure_planner()
     }
 
-    /// Replaces the PB configuration (bin mapping, thread count, NUMA
-    /// domains, autotuner, workspace, …).
+    /// Replaces the PB configuration (bin count, local-bin width, thread
+    /// count, NUMA domains, workspace, …).
     pub fn config(mut self, config: PbConfig) -> Self {
         self.config = config;
         self

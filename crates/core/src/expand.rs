@@ -6,23 +6,17 @@
 //! *global bin* in one contiguous write, so global-memory traffic happens in
 //! multiples of whole cache lines — the propagation-blocking idea.
 //!
-//! Two flush mechanisms are provided (selected by
-//! [`ExpandStrategy`]):
-//!
-//! * **Reserved** (default, the paper's design): the symbolic phase has
-//!   already computed the exact number of tuples per global bin, so the
-//!   global buffer is allocated once, uninitialised, and every flush
-//!   reserves a disjoint range with a relaxed `fetch_add` and copies into it
-//!   with `ptr::copy_nonoverlapping`.  No locks, no initialisation, no
-//!   reallocation.
-//! * **ThreadLocal** (safe fallback): every thread accumulates per-bin
-//!   `Vec`s which are concatenated after the parallel loop.  Used for
-//!   differential testing and as an ablation point for the benchmarks.
+//! The flush follows the paper's design: the symbolic phase has already
+//! computed the exact number of tuples per global bin, so the global buffer
+//! is allocated once, uninitialised, and every flush reserves a disjoint
+//! range with a relaxed `fetch_add` and copies into it with
+//! `ptr::copy_nonoverlapping`.  No locks, no initialisation, no
+//! reallocation.
 //!
 //! # NUMA-domain partitioning
 //!
-//! On a multi-domain [`Symbolic`] (see [`crate::topology`]) the Reserved
-//! strategy reserves per **(bin, domain)** sub-segment: tuples produced
+//! On a multi-domain [`Symbolic`] (see [`crate::topology`]) the expand
+//! phase reserves per **(bin, domain)** sub-segment: tuples produced
 //! from domain `d`'s flop-balanced column range land in sub-segment `d` of
 //! their bin, and the parallel loop's blocks are routed so domain `d`'s
 //! pool workers claim domain `d`'s columns first (`with_domain_boundaries`)
@@ -76,35 +70,10 @@ use pb_sparse::{Csc, Csr};
 use rayon::prelude::*;
 
 use crate::bins::{BinnedTuples, Entry};
-use crate::config::{ExpandStrategy, PbConfig};
+use crate::config::PbConfig;
 use crate::profile::{StatsCollector, FLUSH_HIST_BUCKETS};
 use crate::symbolic::Symbolic;
 use crate::workspace::WorkspaceLease;
-
-/// Runs the expand phase, producing the binned expanded matrix `Ĉ`.
-///
-/// Flush telemetry (counts, sizes, per-segment extremes) is accumulated
-/// thread-locally and merged into `stats` once per fold segment, so the hot
-/// flush path pays nothing for the instrumentation.
-///
-/// The global tuple buffer and the `bin_offsets`/`compressed_len` staging
-/// come out of `lease` — recycled capacity when the lease is backed by a
-/// [`Workspace`](crate::Workspace) whose high-water mark covers this
-/// multiply, counted fresh allocations otherwise — and flow back into the
-/// workspace when the pipeline releases the lease.
-pub fn expand<S: Semiring>(
-    a: &Csc<S::Elem>,
-    b: &Csr<S::Elem>,
-    sym: &Symbolic,
-    config: &PbConfig,
-    stats: &StatsCollector,
-    lease: &mut WorkspaceLease<S::Elem>,
-) -> BinnedTuples<S::Elem> {
-    match config.expand {
-        ExpandStrategy::Reserved => expand_reserved::<S>(a, b, sym, config, stats, lease),
-        ExpandStrategy::ThreadLocal => expand_thread_local::<S>(a, b, sym, stats, lease),
-    }
-}
 
 /// Whether the global tuple buffer of a multiply partitioned as `sym` asks
 /// for transparent huge pages: only when the bins are not split into
@@ -132,10 +101,6 @@ pub fn local_bin_capacity<V>(local_bin_bytes: usize) -> usize {
         raw
     }
 }
-
-// ---------------------------------------------------------------------------
-// Reserved strategy
-// ---------------------------------------------------------------------------
 
 /// Shared pointer to the uninitialised global tuple buffer.
 ///
@@ -355,7 +320,18 @@ impl<'a, V: Copy> LocalBins<'a, V> {
     }
 }
 
-fn expand_reserved<S: Semiring>(
+/// Runs the expand phase, producing the binned expanded matrix `Ĉ`.
+///
+/// Flush telemetry (counts, sizes, per-segment extremes) is accumulated
+/// thread-locally and merged into `stats` once per fold segment, so the hot
+/// flush path pays nothing for the instrumentation.
+///
+/// The global tuple buffer and the `bin_offsets`/`compressed_len` staging
+/// come out of `lease` — recycled capacity when the lease is backed by a
+/// [`Workspace`](crate::Workspace) whose high-water mark covers this
+/// multiply, counted fresh allocations otherwise — and flow back into the
+/// workspace when the pipeline releases the lease.
+pub fn expand<S: Semiring>(
     a: &Csc<S::Elem>,
     b: &Csr<S::Elem>,
     sym: &Symbolic,
@@ -389,9 +365,7 @@ fn expand_reserved<S: Semiring>(
         .collect();
     let seg_ends: Vec<usize> = sym.seg_offsets[1..].to_vec();
 
-    // The autotuner's current width when enabled, the static setting
-    // otherwise; recorded so the profile reports what actually ran.
-    let capacity = local_bin_capacity::<S::Elem>(config.effective_local_bin_bytes());
+    let capacity = local_bin_capacity::<S::Elem>(config.local_bin_bytes);
     stats.record_local_bin_capacity(capacity);
     // Forcing the scalar ISA level also turns the flush prefetch hints off,
     // so PB_SIMD=scalar reproduces the pre-SIMD code paths exactly.
@@ -478,84 +452,9 @@ fn expand_reserved<S: Semiring>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// ThreadLocal strategy
-// ---------------------------------------------------------------------------
-
-fn expand_thread_local<S: Semiring>(
-    a: &Csc<S::Elem>,
-    b: &Csr<S::Elem>,
-    sym: &Symbolic,
-    stats: &StatsCollector,
-    lease: &mut WorkspaceLease<S::Elem>,
-) -> BinnedTuples<S::Elem> {
-    let nbins = sym.layout.nbins;
-    let layout = &sym.layout;
-    let k = a.ncols();
-
-    // Each rayon fold segment accumulates its own per-bin vectors.
-    let partials: Vec<Vec<Vec<Entry<S::Elem>>>> = (0..k)
-        .into_par_iter()
-        .fold(
-            || vec![Vec::new(); nbins],
-            |mut local: Vec<Vec<Entry<S::Elem>>>, i| {
-                let (b_cols, b_vals) = b.row(i);
-                if !b_cols.is_empty() {
-                    let (a_rows, a_vals) = a.col(i);
-                    for (&r, &a_ri) in a_rows.iter().zip(a_vals) {
-                        let bin = layout.bin_of(r);
-                        let row_key = layout.pack_row(r);
-                        for (&c, &b_ic) in b_cols.iter().zip(b_vals) {
-                            local[bin].push(Entry {
-                                key: row_key | c as u64,
-                                val: S::mul(a_ri, b_ic),
-                            });
-                        }
-                    }
-                }
-                local
-            },
-        )
-        .collect();
-
-    // Concatenate the partial bins in a deterministic order.  The final
-    // buffer and staging vectors come from the lease like the Reserved
-    // path's do (the per-segment partial vectors above are inherently
-    // transient — this strategy exists for differential testing, not for
-    // speed), so the steady-state zero-allocation telemetry holds under
-    // either strategy.
-    let mut entries: Vec<Entry<S::Elem>> =
-        lease.take_entries_vec(sym.flop as usize, tuple_buffer_huge_pages(sym), stats);
-    let mut bin_offsets = lease.take_bin_offsets_empty(nbins + 1, stats);
-    bin_offsets.push(0usize);
-    let mut compressed_len = lease.take_compressed_len_empty(nbins, stats);
-    for bin in 0..nbins {
-        let before = entries.len();
-        for part in &partials {
-            entries.extend_from_slice(&part[bin]);
-        }
-        let produced = entries.len() - before;
-        debug_assert_eq!(
-            produced as u64, sym.bin_flop[bin],
-            "bin {bin} flop mismatch"
-        );
-        compressed_len.push(produced);
-        bin_offsets.push(entries.len());
-    }
-    debug_assert_eq!(entries.len() as u64, sym.flop);
-
-    BinnedTuples {
-        entries,
-        bin_offsets,
-        compressed_len,
-        layout: sym.layout.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BinMapping;
     use crate::symbolic::symbolic;
     use pb_gen::{erdos_renyi_square, rmat_square};
     use pb_sparse::{Coo, PlusTimes};
@@ -631,24 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn reserved_and_thread_local_produce_the_same_multiset() {
-        let a = erdos_renyi_square(7, 6, 42);
-        for mapping in [BinMapping::Range, BinMapping::Modulo, BinMapping::Balanced] {
-            let reserved_cfg = PbConfig::default()
-                .with_nbins(13)
-                .with_bin_mapping(mapping)
-                .with_expand(ExpandStrategy::Reserved);
-            let safe_cfg = reserved_cfg
-                .clone()
-                .with_expand(ExpandStrategy::ThreadLocal);
-            let (t1, _) = run(&a, &reserved_cfg);
-            let (t2, _) = run(&a, &safe_cfg);
-            assert_eq!(collect_tuples(&t1), collect_tuples(&t2));
-            assert_eq!(collect_tuples(&t1), expected_tuples(&a));
-        }
-    }
-
-    #[test]
     fn tuples_land_in_the_bin_of_their_row() {
         let a = rmat_square(7, 4, 3);
         let cfg = PbConfig::default().with_nbins(9);
@@ -698,7 +579,7 @@ mod tests {
         assert_eq!(local_bin_capacity::<f64>(1), 1);
     }
 
-    /// The Reserved strategy's concurrent `fetch_add` flushes must assemble
+    /// The concurrent `fetch_add` flushes must assemble
     /// the same multiset of tuples no matter how many real threads race.
     #[test]
     fn reserved_is_correct_under_real_thread_pools() {
@@ -738,14 +619,6 @@ mod tests {
         assert!(stats.min_segment_flushes <= stats.max_segment_flushes);
         // The mean flush can never exceed the capacity.
         assert!(stats.mean_flush_tuples() <= stats.local_bin_capacity as f64);
-
-        // The ThreadLocal strategy has no flushes to report.
-        let safe = PbConfig::default()
-            .with_nbins(8)
-            .with_expand(ExpandStrategy::ThreadLocal);
-        let (_, _, stats) = run_with_stats(&a, &safe);
-        assert_eq!(stats.flushes, 0);
-        assert_eq!(stats.flushed_tuples, 0);
     }
 
     #[test]

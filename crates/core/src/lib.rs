@@ -76,7 +76,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use bins::{BinLayout, BinnedTuples, Entry};
-pub use config::{AutoTune, BinMapping, ExpandStrategy, PbConfig};
+pub use config::PbConfig;
 pub use engine::{Algorithm, Masked, ProfileSink, SpGemm, ALGORITHM_ENV};
 pub use error::{validate_env, PbError};
 pub use planner::{PlannedKernel, Planner, Signals};
@@ -209,11 +209,6 @@ fn run_phases<S: Semiring, M: Scalar>(
         coo_bytes: pb_sparse::stats::bytes_per_tuple::<S::Elem>(),
         stats: stats.snapshot(),
     };
-    // Close the feedback loop: an auto-tuned config adapts its local-bin
-    // width from this multiply's telemetry before the next one runs.
-    if let Some(tuner) = config.auto_tune() {
-        tuner.observe(&profile);
-    }
     (c, profile)
 }
 
@@ -308,20 +303,13 @@ mod tests {
     fn all_configuration_combinations_agree() {
         let a = erdos_renyi_square(7, 6, 7);
         let expected = reference_multiply(&a, &a);
-        for mapping in [BinMapping::Range, BinMapping::Modulo, BinMapping::Balanced] {
-            for strategy in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-                for nbins in [1usize, 3, 16, 128] {
-                    let cfg = PbConfig::default()
-                        .with_bin_mapping(mapping)
-                        .with_expand(strategy)
-                        .with_nbins(nbins);
-                    let c = pb(&cfg).multiply_csc(&a.to_csc(), &a);
-                    assert!(
-                        csr_approx_eq(&c, &expected, 1e-9),
-                        "mismatch for {mapping:?}/{strategy:?}/nbins={nbins}"
-                    );
-                }
-            }
+        for nbins in [1usize, 3, 16, 128] {
+            let cfg = PbConfig::default().with_nbins(nbins);
+            let c = pb(&cfg).multiply_csc(&a.to_csc(), &a);
+            assert!(
+                csr_approx_eq(&c, &expected, 1e-9),
+                "mismatch for nbins={nbins}"
+            );
         }
     }
 
@@ -404,43 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuned_config_adapts_capacity_across_repeated_multiplies() {
-        // Start the tuner from a deliberately tiny local bin (1 cache line
-        // = 4 f64 tuples): every flush is tiny, so the policy must grow the
-        // width between multiplies until flushes amortise (8 lines), then
-        // hold steady — all while every product stays correct.
-        let a = erdos_renyi_square(8, 8, 21);
-        let a_csc = a.to_csc();
-        let expected = reference_multiply(&a, &a);
-        let cfg = PbConfig::auto_tuned_from_lines(1);
-        assert_eq!(cfg.effective_local_bin_bytes(), 64);
-        let engine = pb(&cfg);
-
-        let mut capacities = Vec::new();
-        for _ in 0..6 {
-            let (c, profile) = engine.multiply_csc_with_profile::<PlusTimes<f64>>(&a_csc, &a);
-            assert!(csr_approx_eq(&c, &expected, 1e-9));
-            capacities.push(profile.stats.local_bin_capacity);
-        }
-        // The expand phase measurably ran with growing capacities...
-        assert_eq!(
-            capacities[0], 4,
-            "first multiply uses the initial 1-line bins"
-        );
-        assert!(
-            capacities.windows(2).all(|w| w[1] >= w[0]),
-            "capacity adapts monotonically upward: {capacities:?}"
-        );
-        // ...and converged to the paper's default width (8 lines = 32
-        // tuples), a fixed point of the policy.
-        assert_eq!(*capacities.last().unwrap(), 32, "{capacities:?}");
-        let tuner = cfg.auto_tune().unwrap();
-        assert_eq!(tuner.lines(), 8);
-        assert_eq!(tuner.observations(), 6);
-        assert_eq!(tuner.adjustments(), 3, "1 -> 2 -> 4 -> 8 lines");
-    }
-
-    #[test]
     fn numa_partitioned_multiply_matches_reference_and_reports_locality() {
         let a = rmat_square(8, 8, 41);
         let a_csc = a.to_csc();
@@ -465,50 +416,6 @@ mod tests {
             let f = s.local_flush_fraction();
             assert!((0.0..=1.0).contains(&f), "fraction {f}");
         }
-    }
-
-    #[test]
-    fn auto_tuned_bin_count_adapts_to_skewed_occupancy() {
-        // Identity plus one dense row: almost all flop lands in the dense
-        // row's bin, so the occupancy skew stays far above the split
-        // threshold and the boost should double the derived bin count on
-        // every multiply until its clamp.
-        let n = 2048usize;
-        let mut entries: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 1.0)).collect();
-        entries.extend((1..n).map(|j| (0usize, j, 1.0)));
-        let a = Coo::from_entries(n, n, entries).unwrap().to_csr();
-        let a_csc = a.to_csc();
-        let expected = reference_multiply(&a, &a);
-
-        // A small assumed L2 keeps the derived bin count well above one on
-        // this deliberately small workload, so the skew is observable.
-        let cfg = PbConfig::auto_tuned().with_l2_bytes(4096);
-        let engine = pb(&cfg);
-        let mut nbins_seen = Vec::new();
-        for _ in 0..5 {
-            let (c, profile) = engine.multiply_csc_with_profile::<PlusTimes<f64>>(&a_csc, &a);
-            assert!(csr_approx_eq(&c, &expected, 1e-9));
-            nbins_seen.push(profile.nbins);
-            assert!(
-                profile.stats.occupancy_skew() >= crate::config::AUTOTUNE_SKEW_SPLIT,
-                "workload must stay skewed: {}",
-                profile.stats.occupancy_skew()
-            );
-        }
-        let tuner = cfg.auto_tune().unwrap();
-        assert_eq!(
-            tuner.nbins_boost(),
-            crate::config::AUTOTUNE_MAX_NBINS_BOOST,
-            "boost saturates on a persistently skewed workload"
-        );
-        assert!(
-            nbins_seen.windows(2).all(|w| w[1] >= w[0]),
-            "bin count adapts monotonically upward: {nbins_seen:?}"
-        );
-        assert!(
-            *nbins_seen.last().unwrap() >= nbins_seen[0] * 4,
-            "boost visibly multiplies the derived bin count: {nbins_seen:?}"
-        );
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   heap merges and favours hashing.
 //! * **`bin_skew`** — the flop share of the fullest projected propagation
 //!   bin over the mean, the same occupancy statistic
-//!   [`AutoTune`](crate::config::AutoTune) watches after the fact.
+//!   [`PhaseStats::occupancy_skew`](crate::profile::PhaseStats::occupancy_skew)
+//!   reports after the fact.
 //! * **`flop_per_nnz`** — arithmetic intensity `flop / (nnz(A)+nnz(B))`.
 //!
 //! # Decision thresholds (the prior)
@@ -47,9 +48,8 @@
 //!
 //! Measured runs flow back through [`Planner::observe`], which maintains an
 //! exponential moving average of achieved GFLOPS per *(signal bucket,
-//! kernel)* cell — published with the same compare-exchange discipline as
-//! [`AutoTune`](crate::config::AutoTune) (a lost race drops the step
-//! instead of spinning).  Once a bucket holds measurements for at least two
+//! kernel)* cell — published with a compare-exchange (a lost race drops
+//! the step instead of spinning).  Once a bucket holds measurements for at least two
 //! kernels, the calibrated argmax overrides the prior; a previously chosen
 //! kernel is only abandoned when the challenger's calibrated rate beats it
 //! by more than [`PLANNER_SWITCH_MARGIN`] (hysteresis), so repeated
@@ -488,9 +488,8 @@ impl Planner {
     /// Folds one measured run into the calibration table: `seconds` of wall
     /// time for a multiply with these signals on this kernel.
     ///
-    /// Publication uses compare-exchange like
-    /// [`AutoTune`](crate::config::AutoTune): a lost race drops this step
-    /// (the next observation re-converges the average) instead of looping.
+    /// Publication uses compare-exchange: a lost race drops this step (the
+    /// next observation re-converges the average) instead of looping.
     pub fn observe(&self, kernel: PlannedKernel, signals: &Signals, seconds: f64) {
         crate::trace::instant(
             crate::trace::SpanName::PlannerObserve,

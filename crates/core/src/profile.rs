@@ -1,8 +1,8 @@
 //! Per-phase instrumentation: wall-clock timings, the data-movement model of
 //! Table III, the derived bandwidth / FLOPS rates used throughout the
 //! paper's evaluation (Figs. 6, 7b, 9b, 13), and the runtime telemetry
-//! ([`PhaseStats`] / [`StatsCollector`]) that feeds the
-//! [`AutoTune`](crate::config::AutoTune) policy.
+//! ([`PhaseStats`] / [`StatsCollector`]) the benchmarks and the planner
+//! read.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -116,9 +116,8 @@ impl Default for IsaDispatch {
 /// Runtime telemetry collected across the four phases of one multiplication.
 ///
 /// All fields are plain counters so the struct stays `Copy` and can ride
-/// inside [`SpGemmProfile`]; the derived rates the
-/// [`AutoTune`](crate::config::AutoTune) policy consumes are exposed as
-/// methods.  Collected by [`StatsCollector`] and threaded through
+/// inside [`SpGemmProfile`]; derived rates are exposed as methods.
+/// Collected by [`StatsCollector`] and threaded through
 /// [`expand`](crate::expand), [`sort`](crate::sort),
 /// [`compress`](crate::compress) and [`assemble`](crate::assemble).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,11 +126,9 @@ pub struct PhaseStats {
     /// actually used — the resolved value of
     /// [`local_bin_capacity`](crate::expand::local_bin_capacity).
     pub local_bin_capacity: usize,
-    /// Total local-bin flushes across all threads (Reserved strategy only;
-    /// zero under `ThreadLocal`).
+    /// Total local-bin flushes across all threads.
     pub flushes: u64,
-    /// Total tuples moved by those flushes (equals the flop under the
-    /// Reserved strategy).
+    /// Total tuples moved by those flushes (equals the flop).
     pub flushed_tuples: u64,
     /// Histogram of flush sizes by fill fraction of the local-bin capacity
     /// (see [`FLUSH_HIST_BUCKETS`]).
@@ -152,7 +149,7 @@ pub struct PhaseStats {
     /// no partitioning).
     pub numa_domains: usize,
     /// Flushes whose destination segment belonged to the flushing worker's
-    /// own NUMA domain (Reserved strategy only).
+    /// own NUMA domain.
     pub local_flushes: u64,
     /// Flushes that crossed domains — work stolen from another domain's
     /// column range, or runs on a pool whose domain labels disagree with
@@ -270,18 +267,6 @@ impl PhaseStats {
         }
     }
 
-    /// Flushes per expanded tuple — the "flush rate" the autotuner watches.
-    /// A healthy rate is `1 / capacity`; rates far above it mean the local
-    /// bins are too small and every reservation `fetch_add` moves only a few
-    /// tuples.
-    pub fn flush_rate(&self) -> f64 {
-        if self.flushed_tuples == 0 {
-            0.0
-        } else {
-            self.flushes as f64 / self.flushed_tuples as f64
-        }
-    }
-
     /// Fraction of flushes that were capacity-triggered (fell in the top
     /// histogram bucket).  Distinguishes "local bins too small" (high) from
     /// "workload too small to ever fill a bin" (low).
@@ -304,10 +289,10 @@ impl PhaseStats {
     }
 
     /// Fraction of flushes that stayed inside the flushing worker's own
-    /// NUMA domain.  1.0 when nothing flushed (vacuously local: the
-    /// ThreadLocal strategy and empty products move no flush traffic at
-    /// all) — this is the number the acceptance telemetry gates on, so it
-    /// is *measured* locality, not an assumption.
+    /// NUMA domain.  1.0 when nothing flushed (vacuously local: empty
+    /// products move no flush traffic at all) — this is the number the
+    /// acceptance telemetry gates on, so it is *measured* locality, not an
+    /// assumption.
     pub fn local_flush_fraction(&self) -> f64 {
         if self.flushes == 0 {
             1.0
@@ -860,7 +845,6 @@ mod tests {
         assert_eq!(s.isa.prefetched_flushes, 12);
 
         assert!((s.mean_flush_tuples() - 430.0 / 16.0).abs() < 1e-12);
-        assert!((s.flush_rate() - 16.0 / 430.0).abs() < 1e-12);
         assert!((s.full_flush_fraction() - 10.0 / 16.0).abs() < 1e-12);
         assert!((s.occupancy_skew() - 1.5).abs() < 1e-12);
 
@@ -893,7 +877,6 @@ mod tests {
     fn empty_stats_rates_are_zero_not_nan() {
         let s = PhaseStats::default();
         assert_eq!(s.mean_flush_tuples(), 0.0);
-        assert_eq!(s.flush_rate(), 0.0);
         assert_eq!(s.full_flush_fraction(), 0.0);
         assert_eq!(s.occupancy_skew(), 0.0);
         let snap = StatsCollector::new().snapshot();

@@ -401,7 +401,6 @@ fn scatter_prefetched<V: Copy>(
 mod tests {
     use super::*;
     use crate::bins::BinLayout;
-    use crate::config::BinMapping;
     use pb_gen::Xoshiro256pp;
 
     fn random_entries(n: usize, key_bits: u32, seed: u64) -> Vec<Entry<u64>> {
@@ -460,7 +459,7 @@ mod tests {
         // One large single-byte-key bin: big enough for the SIMD histogram
         // cutoff and the prefetched scatter.  The counters must say which
         // path ran — that is the whole point of the IsaDispatch record.
-        let layout = BinLayout::new(30, 16, 1, BinMapping::Range);
+        let layout = BinLayout::new(30, 16, 1);
         let mut rng = Xoshiro256pp::new(21);
         let n = 20_000usize;
         let entries: Vec<Entry<u64>> = (0..n)
@@ -541,7 +540,7 @@ mod tests {
         // Three bins with interleaved keys; after sorting, each bin is
         // ordered but bins keep their own ranges.
         // 4 row bits + 4 column bits per key: one significant key byte.
-        let layout = BinLayout::new(30, 16, 3, BinMapping::Range);
+        let layout = BinLayout::new(30, 16, 3);
         assert_eq!(layout.key_bytes(), 1);
         let mut rng = Xoshiro256pp::new(9);
         let mut entries = Vec::new();
@@ -576,7 +575,7 @@ mod tests {
         // keys must come out in input order: the compress phase folds a run
         // left to right, so stability fixes the order of every sum.
         let n = 40_000usize;
-        let layout = BinLayout::new(64, 64, 1, BinMapping::Range);
+        let layout = BinLayout::new(64, 64, 1);
         assert_eq!(layout.key_bytes(), 2);
         let mut rng = Xoshiro256pp::new(29);
         let entries: Vec<Entry<u64>> = (0..n)

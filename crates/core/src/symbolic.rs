@@ -111,12 +111,7 @@ pub fn symbolic<T: Scalar, U: Scalar>(
 
     // --- Bin geometry. ------------------------------------------------------
     let nbins = config.resolve_nbins(flop, tuple_bytes, a.nrows());
-    let layout = match config.bin_mapping {
-        // The balanced mapping needs the per-row flop distribution to place
-        // its boundaries, so it is derived here rather than in BinLayout.
-        crate::config::BinMapping::Balanced => balanced_layout(a, b, nbins),
-        mapping => BinLayout::new(a.nrows(), b.ncols(), nbins, mapping),
-    };
+    let layout = BinLayout::new(a.nrows(), b.ncols(), nbins);
 
     // --- Per-(bin, domain) flop: every nonzero A(r, i) contributes
     //     nnz(B(i, :)) tuples to row r's bin, in the sub-segment of column
@@ -179,48 +174,9 @@ pub fn symbolic<T: Scalar, U: Scalar>(
     }
 }
 
-/// Builds a flop-balanced bin layout (the paper's "variable ranges of rows").
-///
-/// The per-row flop distribution is accumulated from `A`'s columns — the same
-/// O(nnz(A)) streaming pass the per-bin count performs — and bin boundaries
-/// are then placed greedily so every bin receives roughly `flop / nbins`
-/// expanded tuples.  Skewed (R-MAT-like) matrices end up with narrow bins
-/// around their heavy rows and wide bins elsewhere, which is what keeps the
-/// sort and compress phases load-balanced.
-fn balanced_layout<T: Scalar, U: Scalar>(a: &Csc<T>, b: &Csr<U>, nbins: usize) -> BinLayout {
-    let nrows = a.nrows();
-    let b_rowptr = b.rowptr();
-    let mut row_flop = vec![0u64; nrows];
-    for i in 0..a.ncols() {
-        let nb = (b_rowptr[i + 1] - b_rowptr[i]) as u64;
-        if nb > 0 {
-            for &r in a.col(i).0 {
-                row_flop[r as usize] += nb;
-            }
-        }
-    }
-    let total: u64 = row_flop.iter().sum();
-    let nbins = nbins.clamp(1, nrows.max(1));
-    let target = total.div_ceil(nbins as u64).max(1);
-
-    let mut starts: Vec<pb_sparse::Index> = Vec::with_capacity(nbins + 1);
-    starts.push(0);
-    let mut acc = 0u64;
-    for (r, &f) in row_flop.iter().enumerate() {
-        if acc >= target && starts.len() < nbins && r > *starts.last().unwrap() as usize {
-            starts.push(r as pb_sparse::Index);
-            acc = 0;
-        }
-        acc += f;
-    }
-    starts.push(nrows as pb_sparse::Index);
-    BinLayout::balanced(nrows, b.ncols(), starts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BinMapping;
     use pb_gen::erdos_renyi_square;
     use pb_sparse::stats::flop_csr;
     use pb_sparse::Coo;
@@ -257,65 +213,12 @@ mod tests {
     fn bin_flop_partitions_total_flop() {
         let a = erdos_renyi_square(8, 6, 3);
         let a_csc = a.to_csc();
-        for mapping in [BinMapping::Range, BinMapping::Modulo] {
-            let cfg = PbConfig::default().with_nbins(7).with_bin_mapping(mapping);
-            let sym = symbolic(&a_csc, &a, &cfg, 16);
-            assert_eq!(sym.nbins(), 7);
-            assert_eq!(sym.bin_flop.iter().sum::<u64>(), sym.flop);
-            assert_eq!(*sym.bin_offsets.last().unwrap() as u64, sym.flop);
-            assert_eq!(sym.bin_offsets.len(), 8);
-        }
-        // The balanced mapping may merge boundaries but never exceeds the
-        // requested bin count, and still partitions the flop exactly.
-        let cfg = PbConfig::default()
-            .with_nbins(7)
-            .with_bin_mapping(BinMapping::Balanced);
+        let cfg = PbConfig::default().with_nbins(7);
         let sym = symbolic(&a_csc, &a, &cfg, 16);
-        assert!(sym.nbins() <= 7 && sym.nbins() >= 1);
+        assert_eq!(sym.nbins(), 7);
         assert_eq!(sym.bin_flop.iter().sum::<u64>(), sym.flop);
-    }
-
-    #[test]
-    fn balanced_bins_even_out_skewed_flop() {
-        // R-MAT matrices have heavily skewed row degrees; the balanced
-        // mapping should bound the heaviest bin far below the uniform
-        // mapping's heaviest bin.
-        let a = pb_gen::rmat_square(9, 8, 7);
-        let a_csc = a.to_csc();
-        let nbins = 32usize;
-        let uniform = symbolic(
-            &a_csc,
-            &a,
-            &PbConfig::default()
-                .with_nbins(nbins)
-                .with_bin_mapping(BinMapping::Range),
-            16,
-        );
-        let balanced = symbolic(
-            &a_csc,
-            &a,
-            &PbConfig::default()
-                .with_nbins(nbins)
-                .with_bin_mapping(BinMapping::Balanced),
-            16,
-        );
-        assert_eq!(balanced.flop, uniform.flop);
-        let max_uniform = uniform.bin_flop.iter().copied().max().unwrap();
-        let max_balanced = balanced.bin_flop.iter().copied().max().unwrap();
-        assert!(
-            max_balanced <= max_uniform,
-            "balanced bins must not be more skewed: {max_balanced} vs {max_uniform}"
-        );
-        // Every balanced bin covers a contiguous, disjoint row range.
-        let layout = &balanced.layout;
-        let covered: usize = (0..balanced.nbins()).map(|b| layout.bin_row_count(b)).sum();
-        assert_eq!(covered, a.nrows());
-        // No bin (other than possibly a single-heavy-row bin) exceeds the
-        // ideal share by more than the heaviest single row.
-        let per_row = pb_sparse::stats::flop_rows(&a, &a);
-        let heaviest_row = per_row.iter().copied().max().unwrap_or(0);
-        let target = balanced.flop.div_ceil(balanced.nbins() as u64);
-        assert!(max_balanced <= target + heaviest_row);
+        assert_eq!(*sym.bin_offsets.last().unwrap() as u64, sym.flop);
+        assert_eq!(sym.bin_offsets.len(), 8);
     }
 
     #[test]

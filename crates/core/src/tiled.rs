@@ -55,7 +55,6 @@ use pb_sparse::{Csr, Index, Scalar, Semiring, SparseError};
 use rayon::prelude::*;
 
 use crate::bins::{BinLayout, BinnedTuples, Entry};
-use crate::config::BinMapping;
 use crate::engine::SpGemm;
 use crate::error::PbError;
 use crate::profile::{PhaseStats, StatsCollector};
@@ -536,12 +535,7 @@ fn accumulate_partials<S: Semiring>(
         _ => {}
     }
 
-    let layout = BinLayout::new(
-        tile_rows,
-        tile_cols,
-        total / ACC_TUPLES_PER_BIN + 1,
-        BinMapping::Range,
-    );
+    let layout = BinLayout::new(tile_rows, tile_cols, total / ACC_TUPLES_PER_BIN + 1);
     let nbins = layout.nbins();
     let bin_rows = |b: usize| {
         let r0 = layout.bin_row_start(b).min(tile_rows);
@@ -993,12 +987,7 @@ mod tests {
                     .collect::<Vec<_>>(),
                 "the sums must depend on the fold order"
             );
-            let layout = BinLayout::new(
-                rows,
-                cols,
-                total / ACC_TUPLES_PER_BIN + 1,
-                BinMapping::Range,
-            );
+            let layout = BinLayout::new(rows, cols, total / ACC_TUPLES_PER_BIN + 1);
             if rows == 2 {
                 assert_eq!(layout.nbins(), 2);
                 assert!(total / 2 >= 16_384, "{total} tuples");

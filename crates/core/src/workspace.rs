@@ -83,8 +83,7 @@
 //! # Concurrency
 //!
 //! A `Workspace` is shared behind an [`Arc`] (a [`PbConfig`] clone shares
-//! the handle, exactly like the [`AutoTune`](crate::config::AutoTune)
-//! policy).  One multiply checks the pooled buffers out, works on them
+//! the handle).  One multiply checks the pooled buffers out, works on them
 //! exclusively, and checks them back in; a *concurrent* multiply through
 //! another clone finds the slot empty and falls back to fresh allocation
 //! for that call (counted as a bypass) — correctness never depends on the
@@ -110,9 +109,7 @@
 //! measured in bytes), the two big buffers step down to half their
 //! capacity — never below the largest use observed in the current
 //! low-usage window, so the very next repeat still fits without
-//! re-allocating.  The step mirrors
-//! [`AutoTune`](crate::config::AutoTune)'s halving step-down, and every
-//! freed byte is counted in [`Workspace::total_bytes_released`] (with the
+//! re-allocating.  Every freed byte is counted in [`Workspace::total_bytes_released`] (with the
 //! shrink events in [`Workspace::decay_events`]), so bounded footprint is
 //! as measurable as zero-allocation steady state.
 //!
@@ -157,9 +154,8 @@ pub struct Workspace {
 }
 
 /// Consecutive low-usage (< half capacity) check-ins before the pooled
-/// buffers step down to half their capacity — the workspace face of
-/// [`AutoTune`](crate::config::AutoTune)'s step-down policy (one step
-/// halves, and a single high-usage multiply resets the streak).
+/// buffers step down to half their capacity (one step halves, and a single
+/// high-usage multiply resets the streak).
 pub const DECAY_AFTER_LOW_LEASES: u64 = 4;
 
 impl std::fmt::Debug for Workspace {
@@ -529,9 +525,10 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
         }
     }
 
-    /// Like [`WorkspaceLease::take_entries_uninit`], but as a plain (empty,
-    /// pre-reserved) vector for the ThreadLocal expand strategy.
-    pub fn take_entries_vec(
+    /// The tuple buffer as a plain (empty, pre-reserved) vector: the
+    /// recycling and accounting behind
+    /// [`WorkspaceLease::take_entries_uninit`].
+    fn take_entries_vec(
         &mut self,
         flop: usize,
         huge_pages: bool,
@@ -570,21 +567,9 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
 
     /// `bin_offsets` staging seeded from the symbolic phase's offsets.
     pub fn take_bin_offsets(&mut self, src: &[usize], stats: &StatsCollector) -> Vec<usize> {
-        let mut v = self.take_bin_offsets_empty(src.len(), stats);
-        v.extend_from_slice(src);
-        v
-    }
-
-    /// Empty `bin_offsets` staging with capacity for `capacity` words, for
-    /// callers that build the offsets incrementally (the ThreadLocal expand
-    /// strategy).
-    pub fn take_bin_offsets_empty(
-        &mut self,
-        capacity: usize,
-        stats: &StatsCollector,
-    ) -> Vec<usize> {
         let mut v = std::mem::take(&mut self.pool.bin_offsets);
-        self.record(stats, fill_usize(&mut v, capacity));
+        self.record(stats, fill_usize(&mut v, src.len()));
+        v.extend_from_slice(src);
         v
     }
 
@@ -594,20 +579,9 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
         lens: impl ExactSizeIterator<Item = usize>,
         stats: &StatsCollector,
     ) -> Vec<usize> {
-        let mut v = self.take_compressed_len_empty(lens.len(), stats);
-        v.extend(lens);
-        v
-    }
-
-    /// Empty `compressed_len` staging with capacity for `capacity` words
-    /// (ThreadLocal expand builds it per bin).
-    pub fn take_compressed_len_empty(
-        &mut self,
-        capacity: usize,
-        stats: &StatsCollector,
-    ) -> Vec<usize> {
         let mut v = std::mem::take(&mut self.pool.compressed_len);
-        self.record(stats, fill_usize(&mut v, capacity));
+        self.record(stats, fill_usize(&mut v, lens.len()));
+        v.extend(lens);
         v
     }
 
@@ -911,7 +885,7 @@ mod tests {
             entries,
             bin_offsets: offsets,
             compressed_len: lens,
-            layout: crate::bins::BinLayout::new(4, 4, 1, crate::config::BinMapping::Range),
+            layout: crate::bins::BinLayout::new(4, 4, 1),
         };
         lease.release(tuples);
 
@@ -934,7 +908,7 @@ mod tests {
             entries,
             bin_offsets: offsets,
             compressed_len: lens,
-            layout: crate::bins::BinLayout::new(4, 4, 1, crate::config::BinMapping::Range),
+            layout: crate::bins::BinLayout::new(4, 4, 1),
         };
         lease.release(tuples);
 
@@ -973,7 +947,7 @@ mod tests {
             entries: v,
             bin_offsets: Vec::new(),
             compressed_len: Vec::new(),
-            layout: crate::bins::BinLayout::new(4, 4, 1, crate::config::BinMapping::Range),
+            layout: crate::bins::BinLayout::new(4, 4, 1),
         };
         lease.release(tuples);
 
@@ -1078,7 +1052,7 @@ mod tests {
             entries,
             bin_offsets: Vec::new(),
             compressed_len: Vec::new(),
-            layout: crate::bins::BinLayout::new(4, 4, 1, crate::config::BinMapping::Range),
+            layout: crate::bins::BinLayout::new(4, 4, 1),
         };
         lease.release(tuples);
         stats.snapshot()

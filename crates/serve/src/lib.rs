@@ -3,9 +3,9 @@
 //! The paper's bandwidth-optimisation machinery (propagation-blocked
 //! binning, NUMA routing, SIMD sort kernels, the regret-gated planner,
 //! zero-allocation workspaces) pays off most in a **long-lived process**,
-//! where workspaces amortise, the planner calibrates to the host, and
-//! AutoTune adapts *across* requests instead of being rebuilt per
-//! invocation.  This crate is that process:
+//! where workspaces amortise and the planner calibrates to the host across
+//! requests instead of being rebuilt per invocation.  This crate is that
+//! process:
 //!
 //! * a TCP server speaking a line-delimited JSON [`protocol`] (one request
 //!   per line, one response per line), driven by the vendored

@@ -1,8 +1,7 @@
 //! Concurrency stress tests: with the vendored rayon pool running *real*
-//! threads, every expand strategy must assemble the identical CSR product
-//! (sorted columns, duplicates merged) at every thread count, and the
-//! lock-free `Reserved` flushes must agree with both the safe `ThreadLocal`
-//! fallback and the sequential reference oracle.
+//! threads, the expand phase's lock-free reserved flushes must assemble the
+//! identical CSR product (sorted columns, duplicates merged) at every thread
+//! count and local-bin width, equal to the sequential reference oracle.
 //!
 //! Integer-valued inputs make the comparison *exact*: semiring adds then
 //! commute bit-for-bit, so any divergence is a real race, not float
@@ -14,7 +13,8 @@ use proptest::prelude::*;
 
 use pb_spgemm_suite::prelude::*;
 use pb_spgemm_suite::sparse::reference::{csr_approx_eq, multiply_csr as reference_multiply};
-use pb_spgemm_suite::spgemm::{ExpandStrategy, PbConfig};
+use pb_spgemm_suite::spgemm::config::CACHE_LINE_BYTES;
+use pb_spgemm_suite::spgemm::PbConfig;
 
 /// Engine-backed stand-in for the retired `pb_spgemm::multiply` free
 /// function: call sites stay unchanged while routing through the unified
@@ -41,10 +41,11 @@ fn assert_csr_exact(c: &Csr<f64>, expected: &Csr<f64>, context: &str) {
     assert_eq!(c.values(), expected.values(), "{context}: values");
 }
 
+// Named after the deleted expand strategies; the name stays so test histories line up.
 #[test]
 fn expand_strategies_agree_exactly_across_thread_counts() {
     // Unit-valued inputs: every merged duplicate is a small integer sum, so
-    // Reserved, ThreadLocal and the reference must match bit-for-bit.
+    // the product and the reference must match bit-for-bit.
     let inputs = [
         ("rmat", unit_valued(&rmat_square(9, 8, 7))),
         ("er", unit_valued(&erdos_renyi_square(9, 6, 11))),
@@ -53,15 +54,12 @@ fn expand_strategies_agree_exactly_across_thread_counts() {
         let expected = reference_multiply(a, a);
         let a_csc = a.to_csc();
         for &t in &THREADS {
-            for strategy in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-                let cfg = PbConfig::default()
-                    .with_expand(strategy)
-                    .with_threads(t)
-                    // Small local bins force frequent concurrent flushes.
-                    .with_local_bin_bytes(64);
-                let c = multiply(&a_csc, a, &cfg);
-                assert_csr_exact(&c, &expected, &format!("{name}/{strategy:?}/threads={t}"));
-            }
+            let cfg = PbConfig::default()
+                .with_threads(t)
+                // Small local bins force frequent concurrent flushes.
+                .with_local_bin_bytes(64);
+            let c = multiply(&a_csc, a, &cfg);
+            assert_csr_exact(&c, &expected, &format!("{name}/threads={t}"));
         }
     }
 }
@@ -69,36 +67,19 @@ fn expand_strategies_agree_exactly_across_thread_counts() {
 #[test]
 fn random_values_agree_with_reference_across_thread_counts() {
     // Random values: compare with tolerance (parallel merge order can
-    // reassociate float adds) against the oracle and across strategies.
+    // reassociate float adds) against the oracle.
     let a = rmat_square(9, 8, 13);
     let a_csc = a.to_csc();
     let expected = reference_multiply(&a, &a);
     for &t in &THREADS {
-        let reserved = multiply(
-            &a_csc,
-            &a,
-            &PbConfig::default()
-                .with_expand(ExpandStrategy::Reserved)
-                .with_threads(t),
-        );
-        let thread_local = multiply(
-            &a_csc,
-            &a,
-            &PbConfig::default()
-                .with_expand(ExpandStrategy::ThreadLocal)
-                .with_threads(t),
-        );
+        let c = multiply(&a_csc, &a, &PbConfig::default().with_threads(t));
         assert!(
-            csr_approx_eq(&reserved, &expected, 1e-9),
-            "Reserved vs reference at {t} threads"
-        );
-        assert!(
-            csr_approx_eq(&thread_local, &expected, 1e-9),
-            "ThreadLocal vs reference at {t} threads"
+            csr_approx_eq(&c, &expected, 1e-9),
+            "PB vs reference at {t} threads"
         );
         // Structure must match exactly regardless of value tolerance.
-        assert_eq!(reserved.rowptr(), thread_local.rowptr(), "threads = {t}");
-        assert_eq!(reserved.colidx(), thread_local.colidx(), "threads = {t}");
+        assert_eq!(c.rowptr(), expected.rowptr(), "threads = {t}");
+        assert_eq!(c.colidx(), expected.colidx(), "threads = {t}");
     }
 }
 
@@ -149,30 +130,21 @@ fn split_bin_compress_is_bit_exact_across_thread_counts() {
     }
 }
 
+// Named after the deleted AutoTune policy; the name stays so test histories line up.
 #[test]
 fn auto_tuned_config_is_race_free_and_correct_under_threads() {
-    // The AutoTune feedback loop mutates shared state between multiplies;
-    // hammer it from a deliberately tiny width at 4 threads and require
-    // every product to stay exact while the width only ever grows here.
+    // Local bins from one cache line to 32 at 4 threads: narrow bins
+    // flush often, so every width's product must stay exact.
     let a = unit_valued(&rmat_square(8, 8, 37));
     let a_csc = a.to_csc();
     let expected = reference_multiply(&a, &a);
-    let cfg = PbConfig::auto_tuned_from_lines(1).with_threads(4);
-    let mut last_bytes = cfg.effective_local_bin_bytes();
-    for round in 0..6 {
+    for lines in [1usize, 2, 4, 8, 16, 32] {
+        let cfg = PbConfig::default()
+            .with_threads(4)
+            .with_local_bin_bytes(lines * CACHE_LINE_BYTES);
         let c = multiply(&a_csc, &a, &cfg);
-        assert_csr_exact(&c, &expected, &format!("auto-tuned round {round}"));
-        let bytes = cfg.effective_local_bin_bytes();
-        assert!(
-            bytes >= last_bytes,
-            "width shrank on a pure-growth workload"
-        );
-        last_bytes = bytes;
+        assert_csr_exact(&c, &expected, &format!("{lines} cache lines"));
     }
-    assert!(
-        last_bytes > 64,
-        "tuner never adapted away from the 1-line start"
-    );
 }
 
 #[test]
@@ -336,8 +308,8 @@ fn random_square() -> impl Strategy<Value = Csr<f64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// At >1 thread, both expand strategies reproduce the reference product
-    /// exactly on arbitrary random R-MAT/ER inputs.
+    /// At >1 thread, PB reproduces the reference product exactly on
+    /// arbitrary random R-MAT/ER inputs.
     #[test]
     fn parallel_pb_matches_reference_on_random_graphs(
         a in random_square(),
@@ -345,15 +317,12 @@ proptest! {
     ) {
         let expected = reference_multiply(&a, &a);
         let a_csc = a.to_csc();
-        for strategy in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-            let cfg = PbConfig::default()
-                .with_expand(strategy)
-                .with_threads(threads)
-                .with_local_bin_bytes(64);
-            let c = multiply(&a_csc, &a, &cfg);
-            prop_assert_eq!(c.rowptr(), expected.rowptr(), "{:?} rowptr", strategy);
-            prop_assert_eq!(c.colidx(), expected.colidx(), "{:?} colidx", strategy);
-            prop_assert_eq!(c.values(), expected.values(), "{:?} values", strategy);
-        }
+        let cfg = PbConfig::default()
+            .with_threads(threads)
+            .with_local_bin_bytes(64);
+        let c = multiply(&a_csc, &a, &cfg);
+        prop_assert_eq!(c.rowptr(), expected.rowptr(), "rowptr");
+        prop_assert_eq!(c.colidx(), expected.colidx(), "colidx");
+        prop_assert_eq!(c.values(), expected.values(), "values");
     }
 }

@@ -1,15 +1,18 @@
 //! Cross-crate integration tests: every SpGEMM implementation in the
-//! workspace (PB-SpGEMM in all configurations and the five column
-//! baselines) must agree with the reference implementation on every matrix
-//! family the paper evaluates.
+//! workspace (PB-SpGEMM across bin counts and the column baselines) must
+//! agree with the reference implementation on every matrix family the
+//! paper evaluates.
+
+use std::sync::Arc;
 
 use pb_spgemm_suite::baseline::Baseline;
 use pb_spgemm_suite::gen::{
     banded, block_diagonal, erdos_renyi_square, rmat_square, standin_scaled, tridiagonal,
+    Xoshiro256pp,
 };
 use pb_spgemm_suite::prelude::*;
 use pb_spgemm_suite::sparse::reference::{csr_approx_eq, multiply_csr};
-use pb_spgemm_suite::spgemm::{BinMapping, ExpandStrategy};
+use pb_spgemm_suite::spgemm::Workspace;
 
 /// Engine-backed stand-in for the retired `pb_spgemm::multiply` free
 /// function: call sites stay unchanged while routing through the unified
@@ -77,19 +80,77 @@ fn pb_configurations_agree_on_a_skewed_matrix() {
     let a = rmat_square(9, 8, 11);
     let expected = multiply_csr(&a, &a);
     let a_csc = a.to_csc();
-    for mapping in [BinMapping::Range, BinMapping::Modulo] {
-        for expand in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-            for nbins in [1usize, 8, 64, 512] {
-                let cfg = PbConfig::default()
-                    .with_bin_mapping(mapping)
-                    .with_expand(expand)
-                    .with_nbins(nbins);
-                let c = multiply(&a_csc, &a, &cfg);
-                assert!(
-                    csr_approx_eq(&c, &expected, 1e-9),
-                    "config {mapping:?}/{expand:?}/nbins={nbins} disagrees"
-                );
-            }
+    for nbins in [1usize, 8, 64, 512] {
+        let cfg = PbConfig::default().with_nbins(nbins);
+        let c = multiply(&a_csc, &a, &cfg);
+        assert!(
+            csr_approx_eq(&c, &expected, 1e-9),
+            "config nbins={nbins} disagrees"
+        );
+    }
+}
+
+/// Gives every stored value a random sign and a magnitude `10^u`, `u`
+/// uniform in `[-6, 5)`.  Sums of such values depend on the order of their
+/// additions, so two kernels agree bit for bit only when they fold every
+/// output entry in the same order.
+fn random_signed_magnitudes(a: &Csr<f64>, seed: u64) -> Csr<f64> {
+    let mut rng = Xoshiro256pp::new(seed);
+    let mut out = a.clone();
+    for v in out.values_mut() {
+        let sign = if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 };
+        *v = sign * 10f64.powf(-6.0 + 11.0 * rng.next_f64());
+    }
+    out
+}
+
+/// Asserts `c` equals `expected` in structure and in every value's bits.
+fn assert_bit_exact(c: &Csr<f64>, expected: &Csr<f64>, what: &str) {
+    assert_eq!(c.rowptr(), expected.rowptr(), "{what}: rowptr");
+    assert_eq!(c.colidx(), expected.colidx(), "{what}: colidx");
+    let differing = c
+        .values()
+        .iter()
+        .zip(expected.values())
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count();
+    assert_eq!(
+        differing,
+        0,
+        "{what}: {differing} of {} values differ",
+        c.nnz()
+    );
+}
+
+#[test]
+fn random_valued_products_are_bit_exact_against_the_reference() {
+    // The reference folds each C(i, j) in ascending k.  Every baseline does
+    // too, and so does PB on a one-thread pool, where expand writes each
+    // bin in ascending k and the sort and compress keep that order.
+    let inputs = [
+        ("rmat", random_signed_magnitudes(&rmat_square(10, 16, 1), 2)),
+        (
+            "er",
+            random_signed_magnitudes(&erdos_renyi_square(9, 16, 3), 4),
+        ),
+    ];
+    for (name, a) in &inputs {
+        let expected = multiply_csr(a, a);
+        for baseline in Baseline::all() {
+            let c = baseline.multiply(a, a);
+            assert_bit_exact(&c, &expected, &format!("{name}/{}", baseline.name()));
+        }
+
+        let a_csc = a.to_csc();
+        let one_thread = PbConfig::default().with_threads(1);
+        let c = multiply(&a_csc, a, &one_thread);
+        assert_bit_exact(&c, &expected, &format!("{name}/PB default bins"));
+        let c = multiply(&a_csc, a, &one_thread.clone().with_local_bin_bytes(64));
+        assert_bit_exact(&c, &expected, &format!("{name}/PB 64-B local bins"));
+        let reusing = one_thread.with_workspace(Arc::new(Workspace::new()));
+        for round in 0..2 {
+            let c = multiply(&a_csc, a, &reusing);
+            assert_bit_exact(&c, &expected, &format!("{name}/PB workspace round {round}"));
         }
     }
 }

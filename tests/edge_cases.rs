@@ -6,7 +6,6 @@ use pb_spgemm_suite::baseline::Baseline;
 use pb_spgemm_suite::gen::erdos_renyi_square;
 use pb_spgemm_suite::prelude::*;
 use pb_spgemm_suite::sparse::reference::{csr_approx_eq, multiply_csr};
-use pb_spgemm_suite::spgemm::BinMapping;
 
 /// Engine-backed stand-in for the retired `pb_spgemm::multiply` free
 /// function: call sites stay unchanged while routing through the unified
@@ -142,9 +141,6 @@ fn extreme_bin_configurations_still_produce_correct_results() {
         PbConfig::default().with_local_bin_bytes(16),
         PbConfig::default().with_l2_bytes(4096),
         PbConfig::default().with_nbins(7),
-        PbConfig::default()
-            .with_bin_mapping(BinMapping::Modulo)
-            .with_nbins(3),
     ];
     for cfg in configs {
         let c = multiply(&a_csc, &a, &cfg);

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use pb_spgemm_suite::baseline::Baseline;
 use pb_spgemm_suite::prelude::*;
 use pb_spgemm_suite::sparse::reference::{self, csr_approx_eq, multiply_csr};
-use pb_spgemm_suite::spgemm::{BinMapping, ExpandStrategy};
 
 /// Engine-backed stand-in for the retired `pb_spgemm::multiply` free
 /// function: call sites stay unchanged while routing through the unified
@@ -88,17 +87,11 @@ proptest! {
         ).unwrap().to_csr();
         let expected = multiply_csr(&a, &a);
         let a_csc = a.to_csc();
-        for mapping in [BinMapping::Range, BinMapping::Modulo] {
-            for expand in [ExpandStrategy::Reserved, ExpandStrategy::ThreadLocal] {
-                let cfg = PbConfig::default()
-                    .with_nbins(nbins)
-                    .with_local_bin_bytes(local_bytes)
-                    .with_bin_mapping(mapping)
-                    .with_expand(expand);
-                let c = multiply(&a_csc, &a, &cfg);
-                prop_assert!(csr_approx_eq(&c, &expected, 1e-9));
-            }
-        }
+        let cfg = PbConfig::default()
+            .with_nbins(nbins)
+            .with_local_bin_bytes(local_bytes);
+        let c = multiply(&a_csc, &a, &cfg);
+        prop_assert!(csr_approx_eq(&c, &expected, 1e-9));
     }
 
     /// Multiplying by the identity leaves the matrix unchanged.
