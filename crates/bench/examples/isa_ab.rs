@@ -1,4 +1,4 @@
-//! Within-run A/B of the sort-phase ISA dispatch levels.
+//! Within-run A/B of the ISA dispatch levels.
 //!
 //! Criterion's statistics are unusable on a noisy 1-core container, and
 //! *cross-process* run-to-run drift on shared hosts dwarfs the effects under
@@ -7,21 +7,24 @@
 //! interleaved rounds cancels ambient drift: every level sees the same
 //! machine weather, and the minimum is the run least disturbed by it.
 //!
-//! Two surfaces are timed on corpus-shaped keys (19 significant bits, the
-//! packed bin-key width the smoke corpus produces — narrow enough for the
-//! fused planner's two-pass schedule):
+//! Three surfaces are timed.  The first two run on corpus-shaped keys (19
+//! significant bits, the packed bin-key width the smoke corpus produces —
+//! narrow enough for the fused planner's two-pass schedule):
 //!
 //! * the full library LSD sort ([`sort_slice_with`]) per level, verified
 //!   bitwise against the scalar oracle first;
 //! * the histogram kernels alone: the per-byte [`simd::byte_histogram`] and
-//!   the fused sweep [`simd::fused_histograms`] under its planned schedule.
+//!   the fused sweep [`simd::fused_histograms`] under its planned schedule;
+//! * the whole PB multiply of an R-MAT scale-12 square pinned to each level
+//!   (forced scalar also turns the expand phase's flush prefetch off, so
+//!   this row isolates that hint too), verified bitwise across levels.
 //!
 //! Run with: `cargo run --release -p pb-bench --example isa_ab`
 
 use std::time::Instant;
 
 use pb_spgemm::sort::sort_slice_with;
-use pb_spgemm::{simd, Entry};
+use pb_spgemm::{simd, Entry, PbConfig, SpGemm};
 
 /// Corpus-shaped workload: 16 Ki entries (a mid-size L2 bin) of 19-bit
 /// packed keys declared as 3 key bytes, exactly what the smoke corpus bins
@@ -43,6 +46,8 @@ fn workload(n: usize) -> Vec<Entry<f64>> {
 
 const KEY_BYTES: usize = 3;
 const ROUNDS: usize = 400;
+/// Rounds of the whole-multiply section (each multiply takes milliseconds).
+const MULTIPLY_ROUNDS: usize = 20;
 
 fn main() {
     let data = workload(16 * 1024);
@@ -113,5 +118,32 @@ fn main() {
             byte_min[slot] * 1e6,
             fused_min[slot] * 1e6
         );
+    }
+
+    // Whole PB multiply per level, interleaved min-of-N.  Unit values keep
+    // the product exact, so every level must return the same bits.
+    let a = pb_gen::rmat_square(12, 8, 2).map_values(|_| 1.0);
+    let a_csc = a.to_csc();
+    let engines: Vec<SpGemm> = levels
+        .iter()
+        .map(|&isa| SpGemm::pb().config(PbConfig::default().with_simd(isa)))
+        .collect();
+    let oracle = engines[0].multiply_csc(&a_csc, &a);
+    for (engine, &isa) in engines.iter().zip(&levels) {
+        let c = engine.multiply_csc(&a_csc, &a);
+        assert_eq!(c.colidx(), oracle.colidx(), "{isa} pattern diverged");
+        assert_eq!(c.values(), oracle.values(), "{isa} product diverged");
+    }
+    let mut multiply_min = vec![f64::MAX; levels.len()];
+    for _ in 0..MULTIPLY_ROUNDS {
+        for (slot, engine) in engines.iter().enumerate() {
+            let t = Instant::now();
+            std::hint::black_box(engine.multiply_csc(&a_csc, &a));
+            multiply_min[slot] = multiply_min[slot].min(t.elapsed().as_secs_f64());
+        }
+    }
+    println!("PB multiply, R-MAT s12 ef8 (min of {MULTIPLY_ROUNDS}):");
+    for (slot, &isa) in levels.iter().enumerate() {
+        println!("  {:8} {:8.2} ms", isa.name(), multiply_min[slot] * 1e3);
     }
 }

@@ -61,37 +61,6 @@ pub struct SweepPoint {
     pub telemetry: Telemetry,
 }
 
-/// The NUMA topology the baseline ran under, as discovered (or forced) at
-/// run time — committed alongside the numbers so a reader can tell a real
-/// dual-socket measurement from a `PB_NUMA_DOMAINS`-forced emulation.
-#[derive(Debug, Clone, Serialize)]
-pub struct TopologyInfo {
-    /// Domains the host exposed (or the forced count).
-    pub domains: usize,
-    /// `"sysfs"`, `"forced"` or `"fallback"`.
-    pub source: String,
-    /// True when the topology was forced via `PB_NUMA_DOMAINS` — the
-    /// partitioning ran, but no real bandwidth asymmetry backs it.
-    pub forced: bool,
-}
-
-impl TopologyInfo {
-    /// Snapshot of the detected topology.
-    pub fn detect() -> Self {
-        let t = pb_spgemm::Topology::detect();
-        TopologyInfo {
-            domains: t.num_domains(),
-            source: match t.source() {
-                pb_spgemm::TopologySource::Sysfs => "sysfs",
-                pb_spgemm::TopologySource::Forced => "forced",
-                pb_spgemm::TopologySource::Fallback => "fallback",
-            }
-            .to_string(),
-            forced: t.is_forced(),
-        }
-    }
-}
-
 /// The whole baseline document.
 #[derive(Debug, Clone, Serialize)]
 pub struct PbBaseline {
@@ -115,8 +84,6 @@ pub struct PbBaseline {
     pub host_cores: usize,
     /// Size of the global pool at run time (PB_RAYON_THREADS or cores).
     pub pool_default_threads: usize,
-    /// NUMA topology at run time (discovered or forced).
-    pub topology: TopologyInfo,
     /// The sweep, ascending in requested threads.
     pub sweep: Vec<SweepPoint>,
     /// Max speedup over the 1-thread point anywhere in the sweep.
@@ -366,12 +333,13 @@ pub fn run_pb_baseline_on(w: &Workload, max_threads: usize, reps: usize) -> PbBa
         .fold(f64::MIN, f64::max);
 
     PbBaseline {
-        // v7: the top-level `tiled` out-of-core smoke; v5: every sweep
-        // point gained an `isa` section (SIMD dispatch level plus kernel
-        // counters proving which path ran); v4 added the top-level
-        // `planner` regret report (`--planner` runs); v3 the per-point
-        // workspace telemetry and the top-level `workspace` reuse report;
-        // v2 the per-point `numa` section.
+        // v8 dropped the top-level `topology` record and the per-point
+        // `numa` section; v7: the top-level `tiled` out-of-core smoke; v5:
+        // every sweep point gained an `isa` section (SIMD dispatch level
+        // plus kernel counters proving which path ran); v4 added the
+        // top-level `planner` regret report (`--planner` runs); v3 the
+        // per-point workspace telemetry and the top-level `workspace` reuse
+        // report; v2 the per-point `numa` section.
         schema: SCHEMA_TAG,
         op: "spgemm_square",
         workload: w.name.clone(),
@@ -382,7 +350,6 @@ pub fn run_pb_baseline_on(w: &Workload, max_threads: usize, reps: usize) -> PbBa
         cf: w.stats.cf,
         host_cores: cores,
         pool_default_threads: rayon::current_num_threads(),
-        topology: TopologyInfo::detect(),
         sweep,
         best_speedup,
         workspace: run_workspace_reuse(w, WORKSPACE_SMOKE_MULTIPLIES),
@@ -392,10 +359,11 @@ pub fn run_pb_baseline_on(w: &Workload, max_threads: usize, reps: usize) -> PbBa
 }
 
 /// Current baseline schema tag (shared with `bench_pb --verify`/`--gate`).
-/// v7 added the `tiled` out-of-core smoke (spill telemetry gated on
-/// bit-identity and the resident-bytes bound); v6 added
-/// `workspace.tracer_off` — the dormant-tracer zero-alloc proof.
-pub const SCHEMA_TAG: &str = "pb-bench-baseline/v7";
+/// v8 dropped the top-level `topology` record and the per-point `numa`
+/// section with the NUMA partition; v7 added the `tiled` out-of-core smoke
+/// (spill telemetry gated on bit-identity and the resident-bytes bound);
+/// v6 added `workspace.tracer_off` — the dormant-tracer zero-alloc proof.
+pub const SCHEMA_TAG: &str = "pb-bench-baseline/v8";
 
 /// Multiplies of the repeated-multiply workspace smoke: enough that the
 /// last one is unambiguously steady-state (the arena is populated by the
@@ -441,16 +409,6 @@ mod tests {
         assert!(json.contains("best_speedup"));
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"oversubscribed\""));
-        assert!(json.contains("\"numa\""));
-        assert!(json.contains("local_flush_fraction"));
-        // The numa section is consistent on every point.
-        for p in &doc.sweep {
-            assert!(p.telemetry.numa.domains >= 1);
-            assert_eq!(
-                p.telemetry.numa.local_flushes + p.telemetry.numa.remote_flushes,
-                p.telemetry.flushes
-            );
-        }
         // No --planner section on plain runs.
         assert!(json.contains("\"planner\": null"));
         // The workspace reuse report always rides along (schema v3) and

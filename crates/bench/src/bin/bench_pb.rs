@@ -20,11 +20,10 @@
 //!   section) to the JSON.  `--verify`/`--gate` then fail if any point's
 //!   calibrated pick costs more than 25% over best-in-hindsight.
 //! * `--verify` — after writing, re-read the file, parse it, check it
-//!   against the `pb-bench-baseline/v7` schema (including the per-point
-//!   `numa`, `workspace`, `isa` and top-level `tiled` sections) and generous per-phase sanity
-//!   ceilings, and assert PB-SpGEMM's product still matches the reference
-//!   oracle.  On multi-domain points the measured domain-local flush
-//!   fraction must clear [`NUMA_LOCAL_FLUSH_FLOOR`]; the repeated-multiply
+//!   against the `pb-bench-baseline/v8` schema (including the per-point
+//!   `workspace` and `isa` sections and the top-level `tiled` section) and
+//!   generous per-phase sanity ceilings, and assert PB-SpGEMM's product
+//!   still matches the reference oracle.  The repeated-multiply
 //!   workspace smoke must show a hit-serving, zero-allocation steady state
 //!   that is bit-identical to the fresh path; a `planner` section, when
 //!   present, must clear the regret ceiling on every corpus point; every
@@ -34,9 +33,9 @@
 //!   the right flags.  Exits non-zero on any violation (the CI perf-gate).
 //! * `--gate PATH` — additionally load the *committed* baseline at `PATH`
 //!   and fail if any of its telemetry invariants regressed (schema
-//!   version, oversubscription-flag consistency, the ≥95% local-flush
-//!   floor, flop accounting), printing a per-thread-count diff summary
-//!   between the committed numbers and this run's fresh ones.
+//!   version, oversubscription-flag consistency, flop accounting),
+//!   printing a per-thread-count diff summary between the committed
+//!   numbers and this run's fresh ones.
 
 use pb_bench::baseline::{baseline_workload, run_pb_baseline_on, SCHEMA_TAG};
 use pb_bench::planner::{run_planner_sweep, PLANNER_REGRET_CEILING};
@@ -49,14 +48,6 @@ use serde_json::Value;
 /// not on tight timings — this only catches order-of-magnitude rot
 /// (an accidentally quadratic phase, a deadlocked pool).
 const PHASE_SANITY_CEILING_SECONDS: f64 = 120.0;
-
-/// Minimum domain-local flush fraction `--verify` demands of every
-/// multi-domain sweep point.  Flop-balanced column ranges plus the pool's
-/// own-domain-first claiming keep remote flushes down to the occasional
-/// end-of-range steal, so 95% clears comfortably on the smoke workload
-/// while still failing loudly if the routing ever regresses to
-/// domain-oblivious claiming (~50% local at two domains).
-const NUMA_LOCAL_FLUSH_FLOOR: f64 = 0.95;
 
 fn main() {
     let mut smoke = false;
@@ -101,13 +92,11 @@ fn main() {
 
     let mut table = Table::new(
         format!(
-            "PB-SpGEMM baseline — {} (flop {:.1}M, cf {:.2}, host cores {}, numa {} [{}])",
+            "PB-SpGEMM baseline — {} (flop {:.1}M, cf {:.2}, host cores {})",
             doc.workload,
             doc.flop as f64 / 1e6,
             doc.cf,
             doc.host_cores,
-            doc.topology.domains,
-            doc.topology.source,
         ),
         &[
             "threads",
@@ -117,8 +106,6 @@ fn main() {
             "GFLOPS",
             "speedup",
             "flushes",
-            "domains",
-            "local %",
         ],
     );
     for p in &doc.sweep {
@@ -130,8 +117,6 @@ fn main() {
             fmt(p.gflops, 3),
             fmt(p.speedup_vs_1t, 2),
             p.telemetry.flushes.to_string(),
-            p.telemetry.numa.domains.to_string(),
-            fmt(p.telemetry.numa.local_flush_fraction * 100.0, 1),
         ]);
     }
     print_table(&table);
@@ -281,8 +266,7 @@ fn load_baseline(path: &str) -> Value {
 /// Validates one baseline document's telemetry invariants (shared between
 /// `--verify` on the fresh emission and `--gate` on the committed file):
 /// schema tag, per-point structure and sanity ceilings, flop accounting,
-/// oversubscription-flag consistency, the NUMA local-flush floor, and the
-/// workspace reuse report.
+/// oversubscription-flag consistency, and the workspace reuse report.
 fn check_document(doc: &Value, path: &str) {
     // --- Schema. -----------------------------------------------------------
     assert_eq!(
@@ -300,7 +284,6 @@ fn check_document(doc: &Value, path: &str) {
         "cf",
         "host_cores",
         "pool_default_threads",
-        "topology",
         "sweep",
         "best_speedup",
         "workspace",
@@ -419,55 +402,10 @@ fn check_document(doc: &Value, path: &str) {
             );
         }
 
-        // --- NUMA section (schema v2). ------------------------------------
-        let numa = telemetry
-            .get("numa")
-            .unwrap_or_else(|| panic!("sweep[{i}] telemetry missing the numa section"));
-        let domains = numa
-            .get("domains")
-            .and_then(Value::as_u64)
-            .expect("numa.domains");
-        assert!(domains >= 1, "sweep[{i}] reports zero domains");
-        assert!(
-            domains <= effective,
-            "sweep[{i}] claims more domains than threads"
-        );
-        let occupancy = numa
-            .get("domain_occupancy")
-            .and_then(Value::as_array)
-            .expect("numa.domain_occupancy");
-        // The telemetry reports at most MAX_TELEMETRY_DOMAINS occupancy
-        // slots (domains beyond that fold into the last one), so a >8-node
-        // host legitimately reports fewer entries than domains.
-        let expected_slots = domains.min(pb_spgemm::profile::MAX_TELEMETRY_DOMAINS as u64);
-        assert_eq!(
-            occupancy.len() as u64,
-            expected_slots,
-            "sweep[{i}] occupancy entries != min(domains, telemetry slots)"
-        );
-        let occupancy_sum: u64 = occupancy.iter().filter_map(Value::as_u64).sum();
-        assert_eq!(
-            Some(occupancy_sum),
-            doc.get("flop").and_then(Value::as_u64),
-            "sweep[{i}] per-domain occupancy does not partition the flop"
-        );
-        let local = numa
-            .get("local_flushes")
-            .and_then(Value::as_u64)
-            .expect("numa.local_flushes");
-        let remote = numa
-            .get("remote_flushes")
-            .and_then(Value::as_u64)
-            .expect("numa.remote_flushes");
         let total_flushes = telemetry
             .get("flushes")
             .and_then(Value::as_u64)
             .expect("flushes");
-        assert_eq!(
-            local + remote,
-            total_flushes,
-            "sweep[{i}] flushes not fully accounted as local/remote"
-        );
         // Flush prefetch is all-or-none per multiply: every flush prefetches
         // its destination under a SIMD level, none under forced scalar.
         assert_eq!(
@@ -475,26 +413,6 @@ fn check_document(doc: &Value, path: &str) {
             if level == "scalar" { 0 } else { total_flushes },
             "sweep[{i}] prefetched_flushes inconsistent with level {level}"
         );
-        let fraction = numa
-            .get("local_flush_fraction")
-            .and_then(Value::as_f64)
-            .expect("numa.local_flush_fraction");
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "sweep[{i}] local flush fraction {fraction} out of range"
-        );
-        if domains > 1 {
-            assert!(
-                fraction >= NUMA_LOCAL_FLUSH_FLOOR,
-                "sweep[{i}] domain-local flush fraction {fraction:.3} below the \
-                 {NUMA_LOCAL_FLUSH_FLOOR} floor: domain routing has regressed"
-            );
-        } else {
-            assert_eq!(
-                remote, 0,
-                "sweep[{i}] single-domain run reported remote flushes"
-            );
-        }
     }
 
     // --- Workspace reuse report: the repeated-multiply smoke must show a
@@ -635,17 +553,17 @@ fn check_document(doc: &Value, path: &str) {
 }
 
 /// Loads the committed baseline, re-checks every telemetry invariant on it
-/// (so a regression in the *committed* numbers — schema drift, a stale
-/// local-flush floor, inconsistent oversubscription flags — fails the
-/// gate), and prints a per-thread-count diff summary against the fresh
-/// emission.  The two files may be different workload scales (smoke vs
-/// committed), so the diff is informational; the invariants are the gate.
+/// (so a regression in the *committed* numbers — schema drift,
+/// inconsistent oversubscription flags — fails the gate), and prints a
+/// per-thread-count diff summary against the fresh emission.  The two
+/// files may be different workload scales (smoke vs committed), so the
+/// diff is informational; the invariants are the gate.
 fn gate_against(committed_path: &str, fresh_path: &str) {
     let committed = load_baseline(committed_path);
     check_document(&committed, committed_path);
     let fresh = load_baseline(fresh_path);
 
-    let points = |doc: &Value| -> Vec<(u64, f64, f64, f64)> {
+    let points = |doc: &Value| -> Vec<(u64, f64, f64)> {
         doc.get("sweep")
             .and_then(Value::as_array)
             .map(|sweep| {
@@ -656,10 +574,6 @@ fn gate_against(committed_path: &str, fresh_path: &str) {
                             p.get("threads_requested").and_then(Value::as_u64)?,
                             p.get("seconds").and_then(Value::as_f64)?,
                             p.get("gflops").and_then(Value::as_f64)?,
-                            p.get("telemetry")?
-                                .get("numa")?
-                                .get("local_flush_fraction")
-                                .and_then(Value::as_f64)?,
                         ))
                     })
                     .collect()
@@ -678,22 +592,19 @@ fn gate_against(committed_path: &str, fresh_path: &str) {
         fresh_path,
         fresh.get("workload").and_then(Value::as_str).unwrap_or("?"),
     );
-    for (t, secs, gflops, local) in &new {
+    for (t, secs, gflops) in &new {
         match old.iter().find(|(ot, ..)| ot == t) {
-            Some((_, osecs, ogflops, olocal)) => println!(
-                "  t={t}: seconds {} -> {} | GFLOPS {} -> {} | local% {} -> {}",
+            Some((_, osecs, ogflops)) => println!(
+                "  t={t}: seconds {} -> {} | GFLOPS {} -> {}",
                 fmt(*osecs, 6),
                 fmt(*secs, 6),
                 fmt(*ogflops, 3),
                 fmt(*gflops, 3),
-                fmt(olocal * 100.0, 1),
-                fmt(local * 100.0, 1),
             ),
             None => println!(
-                "  t={t}: (new point) seconds {} | GFLOPS {} | local% {}",
+                "  t={t}: (new point) seconds {} | GFLOPS {}",
                 fmt(*secs, 6),
                 fmt(*gflops, 3),
-                fmt(local * 100.0, 1),
             ),
         }
     }

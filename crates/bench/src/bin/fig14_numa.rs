@@ -44,21 +44,6 @@ fn start_bandwidth_thief(nthreads: usize) -> (Arc<AtomicBool>, Vec<std::thread::
 fn main() {
     // `--smoke` shrinks the workloads to CI size (sets PB_BENCH_QUICK).
     pb_bench::smoke_from_args();
-    // Report the *real* topology first: on a genuine multi-socket host the
-    // discovered domains are what the domain-partitioned binning exploits;
-    // on single-domain hosts (like this container) the bandwidth-thief
-    // emulation below remains the fallback probe, documented as such.
-    let topology = pb_spgemm::Topology::detect();
-    println!("discovered topology: {}", topology.describe());
-    for d in topology.domains() {
-        println!("  domain {}: {} CPU(s) {:?}", d.id, d.cpus.len(), d.cpus);
-    }
-    if topology.num_domains() == 1 {
-        println!(
-            "  single domain: cross-socket contention below is emulated by \
-             bandwidth-thief threads (the paper's Fig. 14 ran on two real sockets)"
-        );
-    }
     let quick = quick_mode();
     let reps = repetitions();
     let (scale, ef) = if quick { (11, 8) } else { (14, 16) };
@@ -125,14 +110,6 @@ fn main() {
     }
     print_table(&table);
     write_json("fig14_numa", &records);
-    write_json(
-        "fig14_numa_topology",
-        &(
-            topology.num_domains(),
-            format!("{:?}", topology.source()),
-            topology.is_forced(),
-        ),
-    );
     println!(
         "expected shape (paper Fig. 14 / Sec. V-D): every algorithm slows down under contention, \
          and PB-SpGEMM retains a smaller fraction of its performance than the column algorithms \

@@ -13,24 +13,6 @@ use pb_model::stream::{run as stream_run, StreamConfig};
 fn main() {
     // `--smoke` shrinks the workloads to CI size (sets PB_BENCH_QUICK).
     pb_bench::smoke_from_args();
-    // The real topology, as the domain-partitioned binning sees it.  On a
-    // genuine dual-socket host the table below could be measured across
-    // real nodes; this environment exposes a single domain, so the far
-    // column stays the documented emulation.
-    let topology = pb_spgemm::Topology::detect();
-    let mut discovered = Table::new(
-        format!("Discovered NUMA topology — {}", topology.describe()),
-        &["domain", "cpus", "cpu list"],
-    );
-    for d in topology.domains() {
-        discovered.push_row(vec![
-            d.id.to_string(),
-            d.cpus.len().to_string(),
-            format!("{:?}", d.cpus),
-        ]);
-    }
-    print_table(&discovered);
-
     let cfg = if quick_mode() {
         NumaConfig::quick()
     } else {
@@ -76,14 +58,6 @@ fn main() {
 
     write_json("table7_numa", &p);
     write_json("table7_numa_scaling", &sweep_records);
-    write_json(
-        "table7_numa_topology",
-        &(
-            topology.num_domains(),
-            format!("{:?}", topology.source()),
-            topology.is_forced(),
-        ),
-    );
     println!(
         "far/local bandwidth ratio = {:.2} (paper: 33.4/50.3 = 0.66 across Skylake sockets)",
         p.bandwidth_ratio()

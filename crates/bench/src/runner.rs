@@ -206,8 +206,6 @@ pub struct Telemetry {
     pub bin_occupancy_skew: f64,
     /// Output rows holding at least one nonzero.
     pub nonempty_rows: usize,
-    /// NUMA partition and flush-locality telemetry.
-    pub numa: NumaTelemetry,
     /// Workspace buffer traffic of the run (schema v3).
     pub workspace: WorkspaceTelemetry,
     /// SIMD dispatch proof of the run (schema v5).
@@ -269,46 +267,6 @@ impl WorkspaceTelemetry {
     }
 }
 
-/// The `numa` section of one sweep point: how the bins were partitioned
-/// over NUMA domains and how local the expand-phase flush traffic actually
-/// was (measured, not assumed — remote flushes come from cross-domain work
-/// stealing, so this is the number that *proves* socket-locality).
-#[derive(Debug, Clone, Serialize)]
-pub struct NumaTelemetry {
-    /// Domains the multiplication's bins were partitioned over (1 = no
-    /// partitioning).
-    pub domains: usize,
-    /// Flushes whose destination sub-segment belonged to the flushing
-    /// worker's own domain.
-    pub local_flushes: u64,
-    /// Flushes that crossed domains.
-    pub remote_flushes: u64,
-    /// `local_flushes / (local + remote)`; 1.0 when nothing flushed.
-    pub local_flush_fraction: f64,
-    /// Tuples moved by domain-local flushes.
-    pub local_flushed_tuples: u64,
-    /// Tuples moved by cross-domain flushes.
-    pub remote_flushed_tuples: u64,
-    /// Expanded tuples owned by each domain's bin segments (one entry per
-    /// domain that ran).
-    pub domain_occupancy: Vec<u64>,
-}
-
-impl NumaTelemetry {
-    /// Extracts the NUMA section from a profiled run's stats.
-    pub fn from_stats(s: &pb_spgemm::PhaseStats) -> Self {
-        NumaTelemetry {
-            domains: s.numa_domains,
-            local_flushes: s.local_flushes,
-            remote_flushes: s.remote_flushes,
-            local_flush_fraction: s.local_flush_fraction(),
-            local_flushed_tuples: s.local_flushed_tuples,
-            remote_flushed_tuples: s.remote_flushed_tuples,
-            domain_occupancy: s.domain_occupancy().to_vec(),
-        }
-    }
-}
-
 impl Telemetry {
     /// Extracts the JSON-facing telemetry from a profiled run.
     pub fn from_profile(profile: &SpGemmProfile) -> Self {
@@ -326,7 +284,6 @@ impl Telemetry {
             max_bin_flop: s.max_bin_flop,
             bin_occupancy_skew: s.occupancy_skew(),
             nonempty_rows: s.nonempty_rows,
-            numa: NumaTelemetry::from_stats(s),
             workspace: WorkspaceTelemetry::from_stats(s),
             isa: IsaTelemetry::from_stats(s),
         }
@@ -390,9 +347,6 @@ mod tests {
             "full_flush_fraction",
             "flush_fill_hist",
             "bin_occupancy_skew",
-            "\"numa\"",
-            "local_flush_fraction",
-            "domain_occupancy",
             "\"workspace\"",
             "bytes_allocated",
             "bytes_reused",
@@ -432,31 +386,5 @@ mod tests {
         assert_eq!(second.workspace.bytes_allocated, 0, "steady state");
         assert!(second.workspace.bytes_reused > 0);
         assert!(second.workspace.workspace_hits > 0);
-    }
-
-    #[test]
-    fn numa_telemetry_accounts_the_partition() {
-        let w = er_matrix(8, 6, 9);
-        let cfg = PbConfig::default().with_threads(2).with_numa_domains(2);
-        let p = measure_pb_profile(&w, &cfg);
-        let t = Telemetry::from_profile(&p);
-        assert_eq!(t.numa.domains, 2);
-        assert_eq!(t.numa.domain_occupancy.len(), 2);
-        assert_eq!(t.numa.domain_occupancy.iter().sum::<u64>(), p.flop);
-        assert_eq!(
-            t.numa.local_flushes + t.numa.remote_flushes,
-            t.flushes,
-            "every flush is local or remote"
-        );
-        assert!((0.0..=1.0).contains(&t.numa.local_flush_fraction));
-        // An unpartitioned run is all-local by definition.
-        let p1 = measure_pb_profile(
-            &w,
-            &PbConfig::default().with_threads(2).with_numa_domains(1),
-        );
-        let t1 = Telemetry::from_profile(&p1);
-        assert_eq!(t1.numa.domains, 1);
-        assert_eq!(t1.numa.remote_flushes, 0);
-        assert_eq!(t1.numa.local_flush_fraction, 1.0);
     }
 }

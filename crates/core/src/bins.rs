@@ -172,6 +172,20 @@ impl<V> BinnedTuples<V> {
     }
 }
 
+/// Carves `buf` into the disjoint per-bin slices `buf[off[b]..off[b + 1]]`
+/// (`offsets` holds `nbins + 1` prefix offsets starting at 0; `buf` may
+/// run past the last one).
+pub(crate) fn carve<'a, T>(mut buf: &'a mut [T], offsets: &[usize]) -> Vec<&'a mut [T]> {
+    offsets
+        .windows(2)
+        .map(|w| {
+            let (seg, rest) = std::mem::take(&mut buf).split_at_mut(w[1] - w[0]);
+            buf = rest;
+            seg
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,12 +15,11 @@
 use pb_sparse::semiring::Semiring;
 use rayon::prelude::*;
 
-use crate::bins::{BinnedTuples, Entry};
+use crate::bins::{carve, BinnedTuples, Entry};
 
 /// Compresses every (sorted) bin in place, updating
 /// [`BinnedTuples::compressed_len`].
 pub fn compress_bins<S: Semiring>(tuples: &mut BinnedTuples<S::Elem>) {
-    let nbins = tuples.nbins();
     // Split borrows instead of a staging clone of the offsets: they stay
     // readable while the entry buffer is carved into per-bin slices.
     let BinnedTuples {
@@ -29,23 +28,12 @@ pub fn compress_bins<S: Semiring>(tuples: &mut BinnedTuples<S::Elem>) {
         compressed_len,
         ..
     } = tuples;
-    let mut slices: Vec<&mut [Entry<S::Elem>]> = Vec::with_capacity(nbins);
-    let mut rest: &mut [Entry<S::Elem>] = entries;
-    for b in 0..nbins {
-        let len = offsets[b + 1] - offsets[b];
-        let (seg, r) = rest.split_at_mut(len);
-        slices.push(seg);
-        rest = r;
-    }
-
-    // Not domain-routed, for the same reason the sort phase isn't: every
-    // bin's buffer interleaves all domains' sub-segments, so free claiming
-    // costs no locality and keeps the load balancing.  The per-bin results
-    // are collected in bin order — each bin's domain chunks sit adjacent in
-    // fixed domain order inside it — so the compressed output is
-    // bit-identical to the single-domain schedule no matter which worker
-    // compressed which bin.
-    let lens: Vec<usize> = slices.into_par_iter().map(compress_slice::<S>).collect();
+    // The per-bin results are collected in bin order, so the compressed
+    // output is the same no matter which worker compressed which bin.
+    let lens: Vec<usize> = carve(entries, offsets)
+        .into_par_iter()
+        .map(compress_slice::<S>)
+        .collect();
     // In place, so the (possibly workspace-pooled) vector is kept.
     compressed_len.clear();
     compressed_len.extend(lens);

@@ -4,8 +4,8 @@
 //! bins (`nbins`, chosen so one bin's tuples fit in L2 cache) and the local
 //! bin width (512 bytes by default, a few cache lines).  Those are the only
 //! algorithmic knobs here; the rest of [`PbConfig`] says where the multiply
-//! runs (threads, NUMA domains, SIMD level) and which [`Workspace`] it
-//! recycles memory from.
+//! runs (threads, SIMD level) and which [`Workspace`] it recycles memory
+//! from.
 
 use std::sync::Arc;
 
@@ -49,15 +49,6 @@ pub struct PbConfig {
     pub l2_bytes: usize,
     /// Number of rayon worker threads; `None` uses the global pool.
     pub threads: Option<usize>,
-    /// Number of NUMA domains to partition the global bins (and the expand
-    /// phase's column ranges) over.  `None` (default) asks the current
-    /// rayon pool, which discovers the machine's topology and honours
-    /// `PB_NUMA_DOMAINS`.  An explicit value is a *cap* relative to the
-    /// executing pool's domain labels (see [`PbConfig::resolve_domains`]);
-    /// to force an emulated multi-domain topology pair it with
-    /// [`PbConfig::threads`], which builds a dedicated pool whose
-    /// worker↔domain labels match.  1 disables partitioning.
-    pub numa_domains: Option<usize>,
     /// SIMD dispatch level for the sort/expand kernels.  `None` (default)
     /// uses the process-wide level — runtime detection, overridable via
     /// `PB_SIMD` (see [`crate::simd::active`]).  An explicit level is
@@ -68,12 +59,12 @@ pub struct PbConfig {
     pub simd: Option<crate::simd::Isa>,
     /// Optional shared [`Workspace`]: the reusable arena every multiply
     /// through this configuration draws its expand-phase tuple buffer,
-    /// NUMA-slabbed sort scratch and staging vectors from (and returns them
-    /// to), so repeated multiplies of similar shape stop paying the
-    /// allocation and first-touch bill.  Clones share the handle on
-    /// purpose; concurrent multiplies through clones stay correct (late
-    /// callers fall back to fresh buffers for that call).  `None` (default)
-    /// allocates per multiply.
+    /// sort scratch and staging vectors from (and returns them to), so
+    /// repeated multiplies of similar shape stop paying the allocation and
+    /// first-touch bill.  Clones share the handle on purpose; concurrent
+    /// multiplies through clones stay correct (late callers fall back to
+    /// fresh buffers for that call).  `None` (default) allocates per
+    /// multiply.
     pub workspace: Option<Arc<Workspace>>,
 }
 
@@ -89,7 +80,6 @@ impl PartialEq for PbConfig {
             && self.local_bin_bytes == other.local_bin_bytes
             && self.l2_bytes == other.l2_bytes
             && self.threads == other.threads
-            && self.numa_domains == other.numa_domains
             && self.simd == other.simd
     }
 }
@@ -101,7 +91,6 @@ impl Default for PbConfig {
             local_bin_bytes: DEFAULT_LOCAL_BIN_CACHE_LINES * CACHE_LINE_BYTES,
             l2_bytes: 1024 * 1024,
             threads: None,
-            numa_domains: None,
             simd: None,
             workspace: None,
         }
@@ -117,8 +106,7 @@ impl PbConfig {
     /// Attaches a shared [`Workspace`]: every multiply through this
     /// configuration (and its clones) reuses the workspace's buffers
     /// instead of allocating, amortising the memory setup of repeated
-    /// multiplies.  See [`crate::workspace`] for what is pooled and how the
-    /// sort scratch stays NUMA-local.
+    /// multiplies.  See [`crate::workspace`] for what is pooled.
     pub fn with_workspace(mut self, workspace: Arc<Workspace>) -> Self {
         self.workspace = Some(workspace);
         self
@@ -174,33 +162,6 @@ impl PbConfig {
     /// [`active`](crate::simd::active) level otherwise.
     pub fn resolve_simd(&self) -> crate::simd::Isa {
         crate::simd::resolve(self.simd)
-    }
-
-    /// Forces the NUMA-domain count for this configuration's multiplies
-    /// (clamped to at least 1; see [`PbConfig::numa_domains`]).
-    pub fn with_numa_domains(mut self, domains: usize) -> Self {
-        self.numa_domains = Some(domains.max(1));
-        self
-    }
-
-    /// The NUMA-domain count the next multiply will partition its bins
-    /// over: the explicit [`PbConfig::numa_domains`] when set, the current
-    /// rayon pool's domain count otherwise — never more than the pool's
-    /// own domain-label count or thread count.
-    ///
-    /// The pool clamp matters: a partition wider than the executing pool's
-    /// labels would create claim ranges no worker owns, so their blocks
-    /// would drain only through the slow steal-patience fallback and every
-    /// one of their flushes would count remote.  An explicit override can
-    /// therefore *narrow* the partition, but widening it requires a pool
-    /// that actually carries the labels — either `PB_NUMA_DOMAINS` (global
-    /// pool) or [`PbConfig::threads`] (dedicated pool built with matching
-    /// domains).
-    pub fn resolve_domains(&self) -> usize {
-        self.numa_domains
-            .unwrap_or(usize::MAX)
-            .min(rayon::current_num_domains())
-            .clamp(1, rayon::current_num_threads())
     }
 
     /// Derives the number of global bins for a multiplication with `flop`
@@ -274,20 +235,5 @@ mod tests {
         assert_ne!(cfg, PbConfig::reusing());
         assert_ne!(cfg, PbConfig::default());
         assert!(PbConfig::default().workspace().is_none());
-    }
-
-    #[test]
-    fn numa_domain_overrides_clamp_and_compare() {
-        let c = PbConfig::new().with_numa_domains(0);
-        assert_eq!(c.numa_domains, Some(1));
-        assert_eq!(PbConfig::default().numa_domains, None);
-        assert_ne!(
-            PbConfig::default().with_numa_domains(2),
-            PbConfig::default()
-        );
-        // resolve_domains never exceeds the pool's thread count.
-        let forced = PbConfig::new().with_numa_domains(64);
-        assert!(forced.resolve_domains() <= rayon::current_num_threads());
-        assert!(PbConfig::default().resolve_domains() >= 1);
     }
 }

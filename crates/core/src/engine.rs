@@ -259,7 +259,7 @@ impl SpGemm {
     }
 
     /// Replaces the PB configuration (bin count, local-bin width, thread
-    /// count, NUMA domains, workspace, …).
+    /// count, workspace, …).
     pub fn config(mut self, config: PbConfig) -> Self {
         self.config = config;
         self

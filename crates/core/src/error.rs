@@ -17,9 +17,6 @@
 //! * [`Algorithm::from_env`](crate::Algorithm::from_env) /
 //!   [`SpGemm::try_from_env`](crate::SpGemm::try_from_env) — `PB_ALGORITHM`;
 //! * [`simd::try_env_isa`](crate::simd::try_env_isa) — `PB_SIMD`;
-//! * [`topology::try_forced_domains`](crate::topology::try_forced_domains)
-//!   — `PB_NUMA_DOMAINS` (the vendored pool's own reader silently ignores
-//!   malformed values, so this is the *only* loud check for that knob);
 //! * [`TiledConfig::from_env`](crate::tiled::TiledConfig::from_env) —
 //!   `PB_OOC_BUDGET_MB`, the out-of-core tile-store byte budget;
 //! * [`validate_env`] — all of the above in one call, for process startup.
@@ -95,14 +92,12 @@ impl From<pb_sparse::SparseError> for PbError {
 
 /// Validates every `PB_*` environment knob this crate reads, without
 /// caching or acting on any of them: `PB_ALGORITHM`, `PB_SIMD` and
-/// `PB_NUMA_DOMAINS`.  Unset variables are fine; set-but-unparseable ones
+/// `PB_OOC_BUDGET_MB`.  Unset variables are fine; set-but-unparseable ones
 /// return the first error.  A resident service calls this once at startup
-/// so a broken environment is a clean refusal instead of a later panic
-/// (or, for `PB_NUMA_DOMAINS`, a silent fallback).
+/// so a broken environment is a clean refusal instead of a later panic.
 pub fn validate_env() -> Result<(), PbError> {
     crate::engine::Algorithm::from_env()?;
     crate::simd::try_env_isa()?;
-    crate::topology::try_forced_domains()?;
     crate::tiled::TiledConfig::from_env()?;
     Ok(())
 }

@@ -13,41 +13,20 @@
 //! `ptr::copy_nonoverlapping`.  No locks, no initialisation, no
 //! reallocation.
 //!
-//! # NUMA-domain partitioning
-//!
-//! On a multi-domain [`Symbolic`] (see [`crate::topology`]) the expand
-//! phase reserves per **(bin, domain)** sub-segment: tuples produced
-//! from domain `d`'s flop-balanced column range land in sub-segment `d` of
-//! their bin, and the parallel loop's blocks are routed so domain `d`'s
-//! pool workers claim domain `d`'s columns first (`with_domain_boundaries`)
-//! — the flush `memcpy`s, the dominant memory traffic of the whole
-//! algorithm, then write domain-local pages.  Cross-domain claims still
-//! happen when one domain runs dry (work-stealing liveness), so every flush
-//! is *counted* as local or remote against the flushing worker's own domain
-//! id; [`PhaseStats`](crate::profile::PhaseStats::local_flush_fraction)
-//! reports the measured fraction rather than asserting locality.  The
-//! sub-segments of a bin are adjacent in fixed domain order, so the
-//! downstream phases (and the assembled product) are bit-identical to the
-//! single-domain schedule.
-//!
 //! # Transparent huge pages on the tuple buffer
 //!
 //! The global tuple buffer is `flop` entries — hundreds of MB on the
 //! bandwidth-bound inputs — and the flushes are its first writes, so on
 //! 4 KiB pages the expand phase pays one page fault per 4 KiB and the
-//! caller pays a page-by-page `munmap` when a fresh buffer is freed.  A
-//! single-domain run therefore asks for transparent huge pages on it (see
-//! [`Workspace`](crate::Workspace)'s module docs).  **A multi-domain run
-//! does not**: its (bin, domain) sub-segments are about `L2 / domains`
-//! long, far below one 2 MiB page, so a huge page would hold several
-//! domains' sub-segments and be placed wherever its first flush ran —
-//! undoing the domain-local first touch described above.  The rule is
-//! `tuple_buffer_huge_pages`.
+//! caller pays a page-by-page `munmap` when a fresh buffer is freed.  The
+//! buffer is therefore advised onto transparent huge pages when it is
+//! allocated (above an 8 MiB floor; see [`Workspace`](crate::Workspace)'s
+//! module docs).
 //!
 //! # Software prefetch on the flush copy
 //!
 //! The flush `memcpy` is the dominant write stream of the whole algorithm,
-//! and its destination hops to a different global sub-segment on every
+//! and its destination hops to a different global bin segment on every
 //! flush — a pattern the hardware prefetcher cannot learn.  On any
 //! non-scalar [`Isa`](crate::simd::Isa) level (see
 //! [`PbConfig::resolve_simd`]) the flush therefore issues one software
@@ -74,13 +53,6 @@ use crate::config::PbConfig;
 use crate::profile::{StatsCollector, FLUSH_HIST_BUCKETS};
 use crate::symbolic::Symbolic;
 use crate::workspace::WorkspaceLease;
-
-/// Whether the global tuple buffer of a multiply partitioned as `sym` asks
-/// for transparent huge pages: only when the bins are not split into
-/// per-domain sub-segments (see the module docs for why).
-pub(crate) fn tuple_buffer_huge_pages(sym: &Symbolic) -> bool {
-    sym.domains <= 1
-}
 
 /// Number of tuples a local bin of `local_bin_bytes` bytes holds, derived
 /// from the actual `Entry<V>` size rather than any assumed tuple width.
@@ -133,107 +105,49 @@ unsafe impl<V: Send> Sync for SharedBuf<V> {}
 
 /// Thread-private local bins: a flat `nbins × capacity` tuple array plus a
 /// fill level per bin (Fig. 5 of the paper).
-///
-/// On a multi-domain run the flush destination is the *(bin,
-/// `target_domain`)* sub-segment, where `target_domain` is the domain
-/// owning the columns currently being expanded.  The local bins are flushed
-/// whole whenever the loop crosses a column-domain boundary, so a local bin
-/// never mixes tuples destined for different sub-segments — with the
-/// domain-routed schedule a fold block lies entirely inside one domain's
-/// column range and the boundary flush never actually fires mid-block.
 struct LocalBins<'a, V> {
     data: Vec<Entry<V>>,
     len: Vec<u32>,
     capacity: usize,
     buf: &'a SharedBuf<V>,
     cursors: &'a [AtomicUsize],
-    seg_ends: &'a [usize],
+    bin_ends: &'a [usize],
     stats: &'a StatsCollector,
-    /// Domains of the partition (1 = classic single-segment bins).
-    domains: usize,
-    /// Column boundaries of the domains (`domains + 1` entries).
-    col_domain_starts: &'a [usize],
-    /// Domain owning the columns currently being expanded.
-    target_domain: usize,
-    /// First column past the current domain's range (0 forces the first
-    /// item to resolve its domain).
-    target_end: usize,
-    /// The executing worker's own domain id (flushes to any other domain's
-    /// sub-segment count as remote).
-    my_domain: usize,
     /// Whether flushes hint their destination lines with software prefetch
     /// (any non-scalar ISA level; see the module doc).
     prefetch: bool,
     // Telemetry accumulated locally; merged into `stats` once per segment.
     flushes: u64,
     flushed: u64,
-    local_flushes: u64,
-    local_flushed: u64,
     prefetched_flushes: u64,
     fill_hist: [u64; FLUSH_HIST_BUCKETS],
 }
 
 impl<'a, V: Copy> LocalBins<'a, V> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        nbins: usize,
         capacity: usize,
         buf: &'a SharedBuf<V>,
         cursors: &'a [AtomicUsize],
-        seg_ends: &'a [usize],
+        bin_ends: &'a [usize],
         zero: Entry<V>,
-        domains: usize,
-        col_domain_starts: &'a [usize],
         prefetch: bool,
         stats: &'a StatsCollector,
     ) -> Self {
+        let nbins = cursors.len();
         LocalBins {
             data: vec![zero; nbins * capacity],
             len: vec![0u32; nbins],
             capacity,
             buf,
             cursors,
-            seg_ends,
+            bin_ends,
             stats,
-            domains,
-            col_domain_starts,
-            target_domain: 0,
-            target_end: if domains > 1 { 0 } else { usize::MAX },
-            // The identity closure of the expand fold runs on the thread
-            // that claimed the block, so this is the flushing worker's id
-            // (clamped like the claim routing is, in case the pool carries
-            // more domain labels than the partition has ranges; 0 on an
-            // unpartitioned run, where every flush is by definition local).
-            my_domain: if domains > 1 {
-                rayon::current_domain().min(domains - 1)
-            } else {
-                0
-            },
             prefetch,
             flushes: 0,
             flushed: 0,
-            local_flushes: 0,
-            local_flushed: 0,
             prefetched_flushes: 0,
             fill_hist: [0; FLUSH_HIST_BUCKETS],
         }
-    }
-
-    /// Re-targets the local bins at the domain owning column `col`,
-    /// flushing everything buffered for the previous domain first.  Columns
-    /// arrive in ascending order within a block, so this fires at most once
-    /// per crossed boundary.
-    #[inline]
-    fn enter_column(&mut self, col: usize) {
-        if col < self.target_end {
-            return;
-        }
-        for bin in 0..self.len.len() {
-            self.flush(bin);
-        }
-        let d = crate::topology::domain_of_index(self.col_domain_starts, self.domains, col);
-        self.target_domain = d;
-        self.target_end = self.col_domain_starts[d + 1];
     }
 
     /// Appends one tuple to local bin `bin`, flushing it first if full.
@@ -250,20 +164,17 @@ impl<'a, V: Copy> LocalBins<'a, V> {
         }
     }
 
-    /// Flushes local bin `bin` to its global (bin, domain) sub-segment.
+    /// Flushes local bin `bin` to its global bin segment.
     fn flush(&mut self, bin: usize) {
         let n = self.len[bin] as usize;
         if n == 0 {
             return;
         }
-        // Reserve a disjoint destination range in the sub-segment of this
-        // bin owned by the current column-domain.
-        let seg = bin * self.domains + self.target_domain;
-        let start = self.cursors[seg].fetch_add(n, Ordering::Relaxed);
+        // Reserve a disjoint destination range in the bin's segment.
+        let start = self.cursors[bin].fetch_add(n, Ordering::Relaxed);
         debug_assert!(
-            start + n <= self.seg_ends[seg],
-            "expand overflowed bin {bin} (domain {}): symbolic phase under-counted",
-            self.target_domain
+            start + n <= self.bin_ends[bin],
+            "expand overflowed bin {bin}: symbolic phase under-counted"
         );
         debug_assert!(start + n <= self.buf.len);
         let src = &self.data[bin * self.capacity..bin * self.capacity + n];
@@ -280,9 +191,9 @@ impl<'a, V: Copy> LocalBins<'a, V> {
             }
             self.prefetched_flushes += 1;
         }
-        // SAFETY: `start + n <= seg_ends[seg] <= buf.len` (the symbolic
-        // phase sized every (bin, domain) sub-segment to the exact tuple
-        // count and the fetch_add hands out disjoint ranges), `src` and the
+        // SAFETY: `start + n <= bin_ends[bin] <= buf.len` (the symbolic
+        // phase sized every bin segment to the exact tuple count and the
+        // fetch_add hands out disjoint ranges), `src` and the
         // destination cannot overlap (the destination is uninitialised heap
         // memory owned by the global buffer), and `Entry<V>` is `Copy`.
         unsafe {
@@ -292,10 +203,6 @@ impl<'a, V: Copy> LocalBins<'a, V> {
         self.len[bin] = 0;
         self.flushes += 1;
         self.flushed += n as u64;
-        if self.target_domain == self.my_domain {
-            self.local_flushes += 1;
-            self.local_flushed += n as u64;
-        }
         // Bucket i covers fill fractions (i/8, (i+1)/8]: a full flush lands
         // in the top bucket, a 1-of-32 partial in the bottom one.
         let bucket =
@@ -313,8 +220,6 @@ impl<'a, V: Copy> LocalBins<'a, V> {
             self.flushes,
             self.flushed,
             &self.fill_hist,
-            self.local_flushes,
-            self.local_flushed,
             self.prefetched_flushes,
         );
     }
@@ -341,14 +246,12 @@ pub fn expand<S: Semiring>(
 ) -> BinnedTuples<S::Elem> {
     let flop = sym.flop as usize;
     let nbins = sym.layout.nbins;
-    let domains = sym.domains.max(1);
     let layout = &sym.layout;
 
     // The global tuple buffer, uninitialised: recycled workspace capacity
     // when the high-water mark covers `flop`, a counted fresh allocation
     // otherwise.
-    let mut raw: Vec<MaybeUninit<Entry<S::Elem>>> =
-        lease.take_entries_uninit(flop, tuple_buffer_huge_pages(sym), stats);
+    let mut raw: Vec<MaybeUninit<Entry<S::Elem>>> = lease.take_entries_uninit(flop, stats);
     // SAFETY: MaybeUninit contents never require initialisation; the length
     // only exposes uninitialised `MaybeUninit` slots, which is sound.
     unsafe { raw.set_len(flop) };
@@ -357,13 +260,12 @@ pub fn expand<S: Semiring>(
         len: flop,
     };
 
-    // One reservation cursor per (bin, domain) sub-segment; with a single
-    // domain this degenerates to exactly the classic per-bin cursors.
-    let cursors: Vec<AtomicUsize> = sym.seg_offsets[..nbins * domains]
+    // One reservation cursor per bin, starting at the bin's segment.
+    let cursors: Vec<AtomicUsize> = sym.bin_offsets[..nbins]
         .iter()
         .map(|&o| AtomicUsize::new(o))
         .collect();
-    let seg_ends: Vec<usize> = sym.seg_offsets[1..].to_vec();
+    let bin_ends = &sym.bin_offsets[1..];
 
     let capacity = local_bin_capacity::<S::Elem>(config.local_bin_bytes);
     stats.record_local_bin_capacity(capacity);
@@ -375,34 +277,15 @@ pub fn expand<S: Semiring>(
         val: S::zero(),
     };
 
-    let k = a.ncols();
-    let columns = (0..k).into_par_iter();
-    // Route each domain's column range to that domain's pool workers.
-    let columns = if domains > 1 {
-        columns.with_domain_boundaries(sym.col_domain_starts.clone())
-    } else {
-        columns
-    };
-    columns
+    (0..a.ncols())
+        .into_par_iter()
         .fold(
             || {
                 LocalBins::new(
-                    nbins,
-                    capacity,
-                    &shared,
-                    &cursors,
-                    &seg_ends,
-                    zero_entry,
-                    domains,
-                    &sym.col_domain_starts,
-                    prefetch,
-                    stats,
+                    capacity, &shared, &cursors, bin_ends, zero_entry, prefetch, stats,
                 )
             },
             |mut local, i| {
-                if local.domains > 1 {
-                    local.enter_column(i);
-                }
                 let (b_cols, b_vals) = b.row(i);
                 if !b_cols.is_empty() {
                     let (a_rows, a_vals) = a.col(i);
@@ -425,11 +308,11 @@ pub fn expand<S: Semiring>(
         )
         .for_each(|local| local.finish());
 
-    // Every cursor must have reached the end of its sub-segment: the buffer
-    // is fully initialised.
+    // Every cursor must have reached the end of its segment: the buffer is
+    // fully initialised.
     debug_assert!(cursors
         .iter()
-        .zip(&seg_ends)
+        .zip(bin_ends)
         .all(|(c, &end)| c.load(Ordering::Relaxed) == end));
 
     // SAFETY: all `flop` slots were written exactly once (see SharedBuf's
@@ -647,78 +530,6 @@ mod tests {
                 "{isa}: every reserved flush must be prefetched"
             );
         }
-    }
-
-    /// Domain-partitioned reservation must produce exactly the same tuple
-    /// multiset, file every sub-segment's tuples in the right bin, and
-    /// account every flush as local or remote.
-    #[test]
-    fn domain_partitioned_expansion_is_exact_and_counts_locality() {
-        let a = rmat_square(8, 6, 33);
-        let expected = expected_tuples(&a);
-        for domains in [2usize, 3] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(4)
-                .domains(domains)
-                .build()
-                .unwrap();
-            let cfg = PbConfig::default()
-                .with_nbins(8)
-                .with_local_bin_bytes(64)
-                .with_numa_domains(domains);
-            let (tuples, sym, stats) = pool.install(|| run_with_stats(&a, &cfg));
-            assert_eq!(sym.domains, domains);
-            assert_eq!(tuples.flop() as u64, sym.flop);
-            assert_eq!(collect_tuples(&tuples), expected, "domains = {domains}");
-            for b in 0..tuples.nbins() {
-                assert_eq!(tuples.bin(b).len() as u64, sym.bin_flop[b]);
-                for e in tuples.bin(b) {
-                    let (r, _) = tuples.layout.unpack(b, e.key);
-                    assert_eq!(tuples.layout.bin_of(r), b);
-                }
-            }
-            // Every flush is accounted exactly once as local or remote.
-            assert_eq!(stats.local_flushes + stats.remote_flushes, stats.flushes);
-            assert_eq!(
-                stats.local_flushed_tuples + stats.remote_flushed_tuples,
-                stats.flushed_tuples
-            );
-            assert_eq!(stats.flushed_tuples, sym.flop);
-            assert!(stats.local_flushes > 0, "some flushes must be domain-local");
-        }
-    }
-
-    /// On a single-thread pool the domain-partitioned schedule runs the
-    /// column ranges in ascending order, so the buffer content — not just
-    /// the multiset — matches the single-domain run exactly.
-    #[test]
-    fn forced_domains_on_one_thread_are_bufferwise_identical() {
-        let a = rmat_square(7, 6, 5);
-        let single_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .domains(1)
-            .build()
-            .unwrap();
-        let base = PbConfig::default().with_nbins(4);
-        let (single, _) = single_pool.install(|| run(&a, &base.clone().with_numa_domains(1)));
-        // resolve_domains clamps to the thread count, so force via a
-        // 1-thread pool labelled with 2 domains... which clamps to 1; use
-        // the config override plus a wider pool restricted to one claimant
-        // instead: a 1-thread pool always runs blocks in order.
-        let (two, sym) = single_pool.install(|| {
-            let cfg = PbConfig {
-                numa_domains: Some(2),
-                ..base.clone()
-            };
-            run(&a, &cfg)
-        });
-        // With one thread the clamp collapses to a single domain: the
-        // partitioned path must not even engage.
-        assert_eq!(sym.domains, 1);
-        let pairs = |t: &BinnedTuples<f64>| -> Vec<(u64, f64)> {
-            t.entries.iter().map(|e| (e.key, e.val)).collect()
-        };
-        assert_eq!(pairs(&single), pairs(&two));
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub mod simd;
 pub mod sort;
 pub mod symbolic;
 pub mod tiled;
-pub mod topology;
 pub mod trace;
 pub mod workspace;
 
@@ -83,7 +82,6 @@ pub use planner::{PlannedKernel, Planner, Signals};
 pub use profile::{IsaDispatch, Phase, PhaseStats, PhaseTimings, SpGemmProfile, StatsCollector};
 pub use simd::{Isa, SIMD_ENV};
 pub use tiled::{TileKey, TileStore, TiledConfig, TiledReport, OOC_BUDGET_ENV};
-pub use topology::{NumaDomain, Topology, TopologySource};
 pub use trace::{
     ChromeTraceSummary, EventKind, HistogramSnapshot, LatencyHistogram, SpanName, TraceEvent,
     TraceSnapshot, LATENCY_BUCKETS, TRACE_ENV, TRACE_EVENTS_ENV,
@@ -101,10 +99,8 @@ use pb_sparse::{Csc, Csr, Scalar};
 /// one implementation to trust.
 ///
 /// The phases run on the pool `config` requests: a dedicated pool of
-/// [`PbConfig::threads`] threads when set (labelled with
-/// [`PbConfig::numa_domains`] when that is set too, so the worker↔domain
-/// labels match the bin partition; 0 = discover via `PB_NUMA_DOMAINS` /
-/// sysfs), the calling thread's current pool otherwise.
+/// [`PbConfig::threads`] threads when set, the calling thread's current
+/// pool otherwise.
 pub(crate) fn pb_multiply_with_profile<S: Semiring, M: Scalar>(
     a: &Csc<S::Elem>,
     b: &Csr<S::Elem>,
@@ -116,7 +112,6 @@ pub(crate) fn pb_multiply_with_profile<S: Semiring, M: Scalar>(
         Some(t) => {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(t)
-                .domains(config.numa_domains.unwrap_or(0))
                 .build()
                 .expect("failed to build rayon pool");
             // The closure may run on a pool worker: forward the caller's
@@ -160,7 +155,6 @@ fn run_phases<S: Semiring, M: Scalar>(
     let t_symbolic = t0.elapsed();
     drop(span);
     stats.record_bin_flop(&sym.bin_flop);
-    stats.record_numa(sym.domains, &sym.domain_flop);
 
     let span = trace::span(trace::SpanName::PhaseExpand);
     let t1 = Instant::now();
@@ -212,18 +206,16 @@ fn run_phases<S: Semiring, M: Scalar>(
     (c, profile)
 }
 
-/// Runs the sort phase with workspace-leased, per-NUMA-domain scratch slabs
-/// when the lease is actually backed by a persistent [`Workspace`] and the
-/// LSD radix sort uses scratch at all (some bin above the insertion-sort
-/// threshold).  The slab pages are first-touched by their owning domain's
-/// workers (see [`workspace`]), so on a real NUMA host the sort phase's
-/// scratch streams stay socket-local.
+/// Runs the sort phase with the workspace's pooled scratch, carved at the
+/// bin offsets, when the lease is backed by a persistent [`Workspace`] and
+/// the LSD radix sort uses scratch at all (some bin above the
+/// insertion-sort threshold).
 ///
-/// Fresh (workspace-less) leases keep the classic lazy per-bin scratch
-/// inside [`sort::sort_bins`]: the slab's upfront zero-fill of
-/// `flop + (domains−1)·max_bin` entries only pays for itself when amortised
-/// across multiplies, and on a throwaway buffer it would roughly double
-/// the sort phase's memory traffic for nothing.
+/// Fresh (workspace-less) leases keep the lazy per-bin heap scratch inside
+/// [`sort::sort_bins_with`]: an upfront zero-fill of `flop` entries only
+/// pays for itself when amortised across multiplies, and on a throwaway
+/// buffer it would roughly double the sort phase's memory traffic for
+/// nothing.
 fn sort_with_lease<S: Semiring>(
     tuples: &mut BinnedTuples<S::Elem>,
     sym: &symbolic::Symbolic,
@@ -231,22 +223,14 @@ fn sort_with_lease<S: Semiring>(
     stats: &StatsCollector,
     lease: &mut workspace::WorkspaceLease<S::Elem>,
 ) {
-    let isa = config.resolve_simd();
     let needs_scratch =
         lease.is_pooled() && sym.bin_flop.iter().any(|&f| f as usize > sort::SMALL_SORT);
-    if !needs_scratch {
-        sort::sort_bins_with(tuples, isa, stats);
-        return;
-    }
-    let max_bin = sym.bin_flop.iter().copied().max().unwrap_or(0) as usize;
-    let target = workspace::scratch_target_len(sym.flop as usize, sym.domains, max_bin);
     let zero = Entry {
         key: 0,
         val: S::zero(),
     };
-    lease.prepare_scratch(target, sym.domains, zero, stats);
-    let slabs = lease.scratch_slabs(sym.domains);
-    sort::sort_bins_slabbed_with(tuples, isa, stats, &slabs);
+    let scratch = needs_scratch.then(|| lease.prepare_scratch(sym.flop as usize, zero, stats));
+    sort::sort_bins_with(tuples, config.resolve_simd(), stats, scratch);
 }
 
 #[cfg(test)]
@@ -389,33 +373,6 @@ mod tests {
         assert!(profile.timings.total().as_nanos() > 0);
         assert!(profile.gflops() > 0.0);
         assert!(profile.summary().contains("nbins=32"));
-    }
-
-    #[test]
-    fn numa_partitioned_multiply_matches_reference_and_reports_locality() {
-        let a = rmat_square(8, 8, 41);
-        let a_csc = a.to_csc();
-        let expected = reference_multiply(&a, &a);
-        let single =
-            pb(&PbConfig::default().with_threads(4).with_numa_domains(1)).multiply_csc(&a_csc, &a);
-        for domains in [2usize, 4] {
-            let cfg = PbConfig::default()
-                .with_threads(4)
-                .with_numa_domains(domains)
-                .with_nbins(16);
-            let (c, profile) = pb(&cfg).multiply_csc_with_profile::<PlusTimes<f64>>(&a_csc, &a);
-            assert!(csr_approx_eq(&c, &expected, 1e-9), "domains = {domains}");
-            // Structure is exactly that of the unpartitioned product.
-            assert_eq!(c.rowptr(), single.rowptr(), "domains = {domains}");
-            assert_eq!(c.colidx(), single.colidx(), "domains = {domains}");
-            // Telemetry reports the partition and accounts all flush traffic.
-            let s = &profile.stats;
-            assert_eq!(s.numa_domains, domains);
-            assert_eq!(s.domain_occupancy().iter().sum::<u64>(), profile.flop);
-            assert_eq!(s.local_flushes + s.remote_flushes, s.flushes);
-            let f = s.local_flush_fraction();
-            assert!((0.0..=1.0).contains(&f), "fraction {f}");
-        }
     }
 
     #[test]

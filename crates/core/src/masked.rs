@@ -19,7 +19,7 @@
 use pb_sparse::{Csr, Scalar};
 use rayon::prelude::*;
 
-use crate::bins::{BinnedTuples, Entry};
+use crate::bins::{carve, BinnedTuples};
 
 /// Drops from every bin the (already compressed) tuples whose coordinates are
 /// not stored in `mask`, compacting each bin in place.
@@ -33,20 +33,10 @@ pub(crate) fn apply_mask<V: Scalar, M: Scalar>(tuples: &mut BinnedTuples<V>, mas
         compressed_len,
         layout,
     } = tuples;
-    let nbins = layout.nbins;
     let live: &[usize] = compressed_len;
 
     // Hand every bin its own mutable segment, as the compress phase does.
-    let mut slices: Vec<&mut [Entry<V>]> = Vec::with_capacity(nbins);
-    let mut rest: &mut [Entry<V>] = entries;
-    for b in 0..nbins {
-        let len = offsets[b + 1] - offsets[b];
-        let (seg, r) = rest.split_at_mut(len);
-        slices.push(seg);
-        rest = r;
-    }
-
-    let new_lens: Vec<usize> = slices
+    let new_lens: Vec<usize> = carve(entries, offsets)
         .into_par_iter()
         .enumerate()
         .map(|(b, seg)| {

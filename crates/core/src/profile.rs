@@ -68,12 +68,6 @@ impl Phase {
 /// end-of-segment partials.
 pub const FLUSH_HIST_BUCKETS: usize = 8;
 
-/// Number of NUMA domains whose bin occupancy is reported individually in
-/// [`PhaseStats::domain_flop`]; domains beyond this fold into the last slot
-/// (keeps the stats `Copy`, and 8 sockets covers every machine the paper's
-/// class of hardware ships in).
-pub const MAX_TELEMETRY_DOMAINS: usize = 8;
-
 /// Which SIMD code paths one multiplication actually executed.
 ///
 /// The dispatch level ([`Isa`](crate::simd::Isa)) is resolved once per
@@ -145,24 +139,6 @@ pub struct PhaseStats {
     pub max_bin_flop: u64,
     /// Mean expanded tuples per global bin.
     pub mean_bin_flop: f64,
-    /// NUMA domains the multiplication's bins were partitioned over (1 =
-    /// no partitioning).
-    pub numa_domains: usize,
-    /// Flushes whose destination segment belonged to the flushing worker's
-    /// own NUMA domain.
-    pub local_flushes: u64,
-    /// Flushes that crossed domains — work stolen from another domain's
-    /// column range, or runs on a pool whose domain labels disagree with
-    /// the partition.  `local_flushes + remote_flushes == flushes`.
-    pub remote_flushes: u64,
-    /// Tuples moved by domain-local flushes.
-    pub local_flushed_tuples: u64,
-    /// Tuples moved by cross-domain flushes.
-    pub remote_flushed_tuples: u64,
-    /// Expanded tuples owned by each domain's bin segments (slot `d` for
-    /// domain `d`; domains past [`MAX_TELEMETRY_DOMAINS`] fold into the
-    /// last slot).  Sums to the flop when partitioning ran.
-    pub domain_flop: [u64; MAX_TELEMETRY_DOMAINS],
     /// Bytes of workspace-managed buffers (expand tuple buffer, sort
     /// scratch, bin/row staging — see [`Workspace`](crate::Workspace))
     /// newly allocated by this multiply.  Repeated same-shape multiplies
@@ -181,9 +157,9 @@ pub struct PhaseStats {
     /// kernel accepted transparent-huge-page advice for — see
     /// [`advise_huge_pages`](pb_sparse::mmapio::advise_huge_pages).  0 when
     /// every buffer was under the 8 MiB floor, recycled from a workspace
-    /// (its advice was counted when it was allocated), on a multi-domain
-    /// tuple buffer, or on a host without THP support.  Like [`IsaDispatch`]
-    /// it proves what ran instead of trusting the build.
+    /// (its advice was counted when it was allocated), or on a host without
+    /// THP support.  Like [`IsaDispatch`] it proves what ran instead of
+    /// trusting the build.
     pub huge_page_bytes: u64,
     /// Output rows with at least one nonzero (assemble phase).
     pub nonempty_rows: usize,
@@ -233,12 +209,6 @@ impl Default for PhaseStats {
             max_segment_flushes: 0,
             max_bin_flop: 0,
             mean_bin_flop: 0.0,
-            numa_domains: 1,
-            local_flushes: 0,
-            remote_flushes: 0,
-            local_flushed_tuples: 0,
-            remote_flushed_tuples: 0,
-            domain_flop: [0; MAX_TELEMETRY_DOMAINS],
             bytes_allocated: 0,
             bytes_reused: 0,
             workspace_hits: 0,
@@ -287,25 +257,6 @@ impl PhaseStats {
             self.max_bin_flop as f64 / self.mean_bin_flop
         }
     }
-
-    /// Fraction of flushes that stayed inside the flushing worker's own
-    /// NUMA domain.  1.0 when nothing flushed (vacuously local: empty
-    /// products move no flush traffic at all) — this is the number the
-    /// acceptance telemetry gates on, so it is *measured* locality, not an
-    /// assumption.
-    pub fn local_flush_fraction(&self) -> f64 {
-        if self.flushes == 0 {
-            1.0
-        } else {
-            self.local_flushes as f64 / self.flushes as f64
-        }
-    }
-
-    /// Per-domain share of the expanded tuples, for the domains that ran
-    /// (`numa_domains` entries).
-    pub fn domain_occupancy(&self) -> &[u64] {
-        &self.domain_flop[..self.numa_domains.clamp(1, MAX_TELEMETRY_DOMAINS)]
-    }
 }
 
 /// Thread-safe accumulator for [`PhaseStats`].
@@ -328,12 +279,6 @@ pub struct StatsCollector {
     max_bin_flop: AtomicU64,
     bin_flop_sum: AtomicU64,
     bins: AtomicUsize,
-    numa_domains: AtomicUsize,
-    local_flushes: AtomicU64,
-    remote_flushes: AtomicU64,
-    local_flushed_tuples: AtomicU64,
-    remote_flushed_tuples: AtomicU64,
-    domain_flop: [AtomicU64; MAX_TELEMETRY_DOMAINS],
     bytes_allocated: AtomicU64,
     bytes_reused: AtomicU64,
     workspace_hits: AtomicU64,
@@ -367,12 +312,6 @@ impl StatsCollector {
             max_bin_flop: AtomicU64::new(0),
             bin_flop_sum: AtomicU64::new(0),
             bins: AtomicUsize::new(0),
-            numa_domains: AtomicUsize::new(1),
-            local_flushes: AtomicU64::new(0),
-            remote_flushes: AtomicU64::new(0),
-            local_flushed_tuples: AtomicU64::new(0),
-            remote_flushed_tuples: AtomicU64::new(0),
-            domain_flop: std::array::from_fn(|_| AtomicU64::new(0)),
             bytes_allocated: AtomicU64::new(0),
             bytes_reused: AtomicU64::new(0),
             workspace_hits: AtomicU64::new(0),
@@ -417,21 +356,16 @@ impl StatsCollector {
     }
 
     /// Merges one expand fold segment's locally accumulated flush counters.
-    /// `local_flushes`/`local_tuples` are the subset that stayed inside the
-    /// flushing worker's own NUMA domain (all of them on an unpartitioned
-    /// run); the remote counts are derived.  `prefetched_flushes` counts
-    /// the flushes that hinted their destination lines with software
-    /// prefetch (all or none per multiply, depending on the ISA level).
+    /// `prefetched_flushes` counts the flushes that hinted their
+    /// destination lines with software prefetch (all or none per multiply,
+    /// depending on the ISA level).
     pub fn record_expand_segment(
         &self,
         flushes: u64,
         tuples: u64,
         hist: &[u64; FLUSH_HIST_BUCKETS],
-        local_flushes: u64,
-        local_tuples: u64,
         prefetched_flushes: u64,
     ) {
-        debug_assert!(local_flushes <= flushes && local_tuples <= tuples);
         debug_assert!(prefetched_flushes <= flushes);
         if prefetched_flushes > 0 {
             self.prefetched_flushes
@@ -440,14 +374,6 @@ impl StatsCollector {
         self.expand_segments.fetch_add(1, Ordering::Relaxed);
         self.flushes.fetch_add(flushes, Ordering::Relaxed);
         self.flushed_tuples.fetch_add(tuples, Ordering::Relaxed);
-        self.local_flushes
-            .fetch_add(local_flushes, Ordering::Relaxed);
-        self.remote_flushes
-            .fetch_add(flushes - local_flushes, Ordering::Relaxed);
-        self.local_flushed_tuples
-            .fetch_add(local_tuples, Ordering::Relaxed);
-        self.remote_flushed_tuples
-            .fetch_add(tuples - local_tuples, Ordering::Relaxed);
         for (slot, &count) in self.flush_fill_hist.iter().zip(hist) {
             if count > 0 {
                 slot.fetch_add(count, Ordering::Relaxed);
@@ -457,18 +383,6 @@ impl StatsCollector {
             .fetch_min(flushes, Ordering::Relaxed);
         self.max_segment_flushes
             .fetch_max(flushes, Ordering::Relaxed);
-    }
-
-    /// Records the NUMA partition the symbolic phase chose: the domain
-    /// count and each domain's share of the expanded tuples (folding
-    /// domains past [`MAX_TELEMETRY_DOMAINS`] into the last slot).
-    pub fn record_numa(&self, domains: usize, domain_flop: &[u64]) {
-        self.numa_domains.store(domains.max(1), Ordering::Relaxed);
-        for (d, &f) in domain_flop.iter().enumerate() {
-            if f > 0 {
-                self.domain_flop[d.min(MAX_TELEMETRY_DOMAINS - 1)].fetch_add(f, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Records the per-bin flop distribution the symbolic phase computed.
@@ -534,12 +448,6 @@ impl StatsCollector {
             } else {
                 sum as f64 / bins as f64
             },
-            numa_domains: self.numa_domains.load(Ordering::Relaxed),
-            local_flushes: self.local_flushes.load(Ordering::Relaxed),
-            remote_flushes: self.remote_flushes.load(Ordering::Relaxed),
-            local_flushed_tuples: self.local_flushed_tuples.load(Ordering::Relaxed),
-            remote_flushed_tuples: self.remote_flushed_tuples.load(Ordering::Relaxed),
-            domain_flop: std::array::from_fn(|i| self.domain_flop[i].load(Ordering::Relaxed)),
             bytes_allocated: self.bytes_allocated.load(Ordering::Relaxed),
             bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
             workspace_hits: self.workspace_hits.load(Ordering::Relaxed),
@@ -803,10 +711,9 @@ mod tests {
         let mut hist = [0u64; FLUSH_HIST_BUCKETS];
         hist[FLUSH_HIST_BUCKETS - 1] = 10;
         hist[0] = 2;
-        c.record_expand_segment(12, 330, &hist, 10, 300, 12);
-        c.record_expand_segment(4, 100, &[0; FLUSH_HIST_BUCKETS], 4, 100, 0);
+        c.record_expand_segment(12, 330, &hist, 12);
+        c.record_expand_segment(4, 100, &[0; FLUSH_HIST_BUCKETS], 0);
         c.record_bin_flop(&[100, 300, 200]);
-        c.record_numa(2, &[250, 180]);
         c.record_nonempty_rows(77);
         c.record_workspace(1024, 0, false);
         c.record_workspace(0, 4096, true);
@@ -847,30 +754,6 @@ mod tests {
         assert!((s.mean_flush_tuples() - 430.0 / 16.0).abs() < 1e-12);
         assert!((s.full_flush_fraction() - 10.0 / 16.0).abs() < 1e-12);
         assert!((s.occupancy_skew() - 1.5).abs() < 1e-12);
-
-        // NUMA telemetry: 14 of 16 flushes stayed domain-local.
-        assert_eq!(s.numa_domains, 2);
-        assert_eq!(s.local_flushes, 14);
-        assert_eq!(s.remote_flushes, 2);
-        assert_eq!(s.local_flushed_tuples, 400);
-        assert_eq!(s.remote_flushed_tuples, 30);
-        assert!((s.local_flush_fraction() - 14.0 / 16.0).abs() < 1e-12);
-        assert_eq!(s.domain_occupancy(), &[250, 180]);
-    }
-
-    #[test]
-    fn numa_telemetry_folds_excess_domains_and_defaults_local() {
-        let c = StatsCollector::new();
-        // 10 domains fold into the 8 telemetry slots (last slot aggregates).
-        let flop: Vec<u64> = (1..=10).collect();
-        c.record_numa(10, &flop);
-        let s = c.snapshot();
-        assert_eq!(s.numa_domains, 10);
-        assert_eq!(s.domain_occupancy().len(), MAX_TELEMETRY_DOMAINS);
-        assert_eq!(s.domain_flop[MAX_TELEMETRY_DOMAINS - 1], 8 + 9 + 10);
-        assert_eq!(s.domain_flop.iter().sum::<u64>(), flop.iter().sum::<u64>());
-        // No flushes at all is vacuously local.
-        assert_eq!(s.local_flush_fraction(), 1.0);
     }
 
     #[test]

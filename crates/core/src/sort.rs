@@ -11,7 +11,9 @@
 //! The sorter is a least-significant-digit radix sort with a scratch
 //! buffer: one stable counting pass per significant digit.  Each bin is
 //! sorted by exactly one thread, whatever the pool size, so equal keys
-//! always keep their input order within the bin.
+//! always keep their input order within the bin.  The scratch is either a
+//! per-bin heap buffer or a pooled buffer carved at the bin offsets (see
+//! [`Workspace`](crate::Workspace)).
 //!
 //! # SIMD kernels, digit planning and software prefetch
 //!
@@ -43,10 +45,9 @@
 
 use rayon::prelude::*;
 
-use crate::bins::{BinnedTuples, Entry};
+use crate::bins::{carve, BinnedTuples, Entry};
 use crate::profile::StatsCollector;
 use crate::simd::{self, Isa, KernelCounters};
-use crate::workspace::ScratchSlabs;
 
 /// How many entries ahead of the write cursor the LSD scatter peeks to
 /// prefetch its destination stream (non-scalar ISA levels only; one hint
@@ -58,66 +59,24 @@ pub(crate) const SCATTER_PREFETCH_AHEAD: usize = 16;
 /// Sorts every bin of the expanded matrix by its packed key, allocating
 /// LSD-radix scratch per bin from the heap and dispatching SIMD kernels at
 /// the process-wide [`simd::active`] level.
-///
-/// The pipeline itself runs [`sort_bins_slabbed_with`] instead, which
-/// leases the scratch from the multiply's [`Workspace`](crate::Workspace)
-/// slabs and resolves the ISA level from the config; this entry point
-/// serves direct callers (benchmarks, tests) that have no workspace at
-/// hand.
 pub fn sort_bins<V: Copy + Send + Sync>(tuples: &mut BinnedTuples<V>, stats: &StatsCollector) {
-    sort_bins_impl(tuples, simd::active(), stats, None)
+    sort_bins_with(tuples, simd::active(), stats, None)
 }
 
-/// [`sort_bins`] at an explicit [`Isa`] dispatch level.
+/// [`sort_bins`] at an explicit [`Isa`] dispatch level, with an optional
+/// pooled `scratch` of at least `flop` entries: bin `b` sorts into
+/// `scratch[off[b]..off[b + 1]]`, as it sits in the tuple buffer.  `None`
+/// allocates each bin's scratch from the heap.
+///
+/// Whole bins are distributed across the pool's threads, and each bin is
+/// sorted sequentially and stably by the thread that claimed it.
 pub fn sort_bins_with<V: Copy + Send + Sync>(
     tuples: &mut BinnedTuples<V>,
     isa: Isa,
     stats: &StatsCollector,
-) {
-    sort_bins_impl(tuples, isa, stats, None)
-}
-
-/// Sorts every bin, leasing LSD-radix scratch from per-NUMA-domain slabs,
-/// at the process-wide [`simd::active`] dispatch level.
-///
-/// A worker sorting a bin draws scratch from *its own domain's* slab (see
-/// [`ScratchSlabs::lease`]), so the sort phase's scratch streams stay
-/// socket-local on a NUMA host even though the bins themselves are claimed
-/// freely.  A lease that cannot be served (impossible under
-/// [`scratch_target_len`](crate::workspace::scratch_target_len) sizing)
-/// falls back to the heap and is *counted* into
-/// [`PhaseStats::bytes_allocated`](crate::profile::PhaseStats::bytes_allocated).
-pub fn sort_bins_slabbed<V: Copy + Send + Sync>(
-    tuples: &mut BinnedTuples<V>,
-    stats: &StatsCollector,
-    slabs: &ScratchSlabs<'_, V>,
-) {
-    sort_bins_impl(tuples, simd::active(), stats, Some(slabs))
-}
-
-/// [`sort_bins_slabbed`] at an explicit [`Isa`] dispatch level.
-pub fn sort_bins_slabbed_with<V: Copy + Send + Sync>(
-    tuples: &mut BinnedTuples<V>,
-    isa: Isa,
-    stats: &StatsCollector,
-    slabs: &ScratchSlabs<'_, V>,
-) {
-    sort_bins_impl(tuples, isa, stats, Some(slabs))
-}
-
-/// Sorts every bin of the expanded matrix by its packed key.
-///
-/// Whole bins are distributed across the pool's threads, and each bin is
-/// sorted sequentially and stably by the thread that claimed it.
-fn sort_bins_impl<V: Copy + Send + Sync>(
-    tuples: &mut BinnedTuples<V>,
-    isa: Isa,
-    stats: &StatsCollector,
-    slabs: Option<&ScratchSlabs<'_, V>>,
+    scratch: Option<&mut [Entry<V>]>,
 ) {
     let key_bytes = tuples.layout.key_bytes() as usize;
-    let nbins = tuples.layout.nbins;
-
     // Split borrows: the offsets stay readable while the entry buffer is
     // carved into disjoint per-bin mutable slices (no staging clone).
     let BinnedTuples {
@@ -125,52 +84,18 @@ fn sort_bins_impl<V: Copy + Send + Sync>(
         bin_offsets: offsets,
         ..
     } = tuples;
-    let mut slices: Vec<&mut [Entry<V>]> = Vec::with_capacity(nbins);
-    let mut rest: &mut [Entry<V>] = entries;
-    let mut consumed = 0usize;
-    for b in 0..nbins {
-        let len = offsets[b + 1] - offsets[b];
-        debug_assert_eq!(consumed, offsets[b]);
-        let (seg, r) = rest.split_at_mut(len);
-        slices.push(seg);
-        rest = r;
-        consumed += len;
-    }
-
-    // Bin claiming is deliberately *not* domain-routed: a bin's buffer
-    // interleaves one sub-segment per domain (see `crate::symbolic`), so no
-    // assignment of whole bins to domains could make the sort's *data*
-    // reads local — every bin is a mixed-domain read regardless, and free
-    // claiming keeps the phase's load balancing.  The scratch stream *is*
-    // domain-local: each worker leases from its own domain's slab.
-    slices.into_par_iter().for_each(|seg| {
-        let scratch = lease_scratch(slabs, seg.len(), stats);
+    let scratch: Vec<Option<&mut [Entry<V>]>> = match scratch {
+        Some(scratch) => carve(scratch, offsets).into_iter().map(Some).collect(),
+        None => offsets[1..].iter().map(|_| None).collect(),
+    };
+    let bins: Vec<_> = carve(entries, offsets).into_iter().zip(scratch).collect();
+    bins.into_par_iter().for_each(|(seg, scratch)| {
         // Kernel invocations accumulate in a thread-local counter and merge
         // once per bin — the hot loops never touch an atomic.
         let mut ctr = KernelCounters::default();
         sort_slice_in(seg, key_bytes, isa, scratch, &mut ctr);
         stats.record_sort_kernels(&ctr);
     });
-}
-
-/// Leases `len` scratch entries for one bin when the sort will use them
-/// (above the insertion-sort cutoff); counts the heap fallback when the
-/// slabs cannot serve the lease.
-fn lease_scratch<'s, V: Copy + Send>(
-    slabs: Option<&ScratchSlabs<'s, V>>,
-    len: usize,
-    stats: &StatsCollector,
-) -> Option<&'s mut [Entry<V>]> {
-    if len <= SMALL_SORT {
-        return None;
-    }
-    let slabs = slabs?;
-    let leased = slabs.lease(len);
-    if leased.is_none() {
-        // The sorter below will fall back to `to_vec`; account for it.
-        stats.record_workspace((len * std::mem::size_of::<Entry<V>>()) as u64, 0, false);
-    }
-    leased
 }
 
 /// Sorts one bin's tuples by key, dispatching SIMD kernels at the
@@ -187,7 +112,7 @@ pub fn sort_slice_with<V: Copy>(seg: &mut [Entry<V>], key_bytes: usize, isa: Isa
 }
 
 /// Threshold below which radix sorters fall back to insertion sort.
-/// `pub(crate)` so the pipeline can skip the scratch lease entirely for
+/// `pub(crate)` so the pipeline can skip the pooled scratch entirely for
 /// products whose every bin insertion-sorts.
 pub(crate) const SMALL_SORT: usize = 48;
 
@@ -204,7 +129,7 @@ fn insertion_sort<V: Copy>(seg: &mut [Entry<V>]) {
 }
 
 /// [`sort_slice_with`] with an optional caller-provided scratch buffer of at
-/// least `seg.len()` initialised entries (a workspace slab lease); `None`
+/// least `seg.len()` initialised entries (a carved workspace range); `None`
 /// allocates its own.  Insertion sort below [`SMALL_SORT`], otherwise LSD
 /// radix passes ping-ponging between the bin and the scratch; both are
 /// stable.
@@ -476,7 +401,7 @@ mod tests {
                 layout: layout.clone(),
             };
             let stats = StatsCollector::new();
-            sort_bins_with(&mut tuples, isa, &stats);
+            sort_bins_with(&mut tuples, isa, &stats, None);
             assert!(is_sorted(&tuples.entries));
             let snap = stats.snapshot();
             if isa == Isa::Scalar {
@@ -604,6 +529,53 @@ mod tests {
                     .all(|w| w[0].key < w[1].key || w[0].val < w[1].val),
                 "equal keys reordered on {threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn carved_scratch_sorts_like_heap_scratch_on_every_pool() {
+        // Bins of uneven length, some at or under the insertion-sort
+        // cutoff, sorted into a stale pooled scratch longer than the flop
+        // (a high-water buffer): every pool must leave each bin exactly as
+        // the per-bin heap scratch does.
+        let layout = BinLayout::new(64, 64, 8);
+        let mut rng = Xoshiro256pp::new(31);
+        let mut entries: Vec<Entry<u64>> = Vec::new();
+        let mut bin_offsets = vec![0usize];
+        for len in [0usize, 3, 5_000, 48, 49, 20_000, 700, 1] {
+            for _ in 0..len {
+                let val = entries.len() as u64;
+                entries.push(Entry {
+                    key: rng.next_u64() & 0x1FF,
+                    val,
+                });
+            }
+            bin_offsets.push(entries.len());
+        }
+        let tuples = |entries: &[Entry<u64>]| BinnedTuples {
+            entries: entries.to_vec(),
+            bin_offsets: bin_offsets.clone(),
+            compressed_len: vec![0; 8],
+            layout: layout.clone(),
+        };
+        let mut expected = tuples(&entries);
+        sort_bins(&mut expected, &StatsCollector::new());
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut scratch = vec![Entry { key: 7, val: 7 }; entries.len() + 100];
+            let mut got = tuples(&entries);
+            pool.install(|| {
+                sort_bins_with(
+                    &mut got,
+                    simd::active(),
+                    &StatsCollector::new(),
+                    Some(&mut scratch),
+                )
+            });
+            assert_eq!(got.entries, expected.entries, "{threads} threads");
         }
     }
 

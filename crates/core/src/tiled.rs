@@ -6,9 +6,9 @@
 //! exceeds RAM (or any single allocation) still complete:
 //!
 //! 1. **Partition** — `A` and `B` are cut into a 2D grid of tiles along
-//!    flop-balanced boundaries ([`crate::topology::balanced_boundaries`]
-//!    over per-row / per-inner-index / per-column flop weights), so every
-//!    tile carries comparable work regardless of skew.
+//!    flop-balanced boundaries (`balanced_boundaries` over per-row /
+//!    per-inner-index / per-column flop weights), so every tile carries
+//!    comparable work regardless of skew.
 //! 2. **Tile multiply** — each output tile `C[i][j]` is the sum over `k` of
 //!    `A[i][k] · B[k][j]`; every partial product runs through the ordinary
 //!    [`SpGemm`] engine (PB pipeline, planner, SIMD dispatch all apply),
@@ -23,8 +23,11 @@
 //!    LSD-sorted and compressed while it is in cache, and
 //!    [`crate::assemble`] writes the tile.  Equal `(row, col)`
 //!    keys therefore fold in ascending `k` whatever the thread count, so
-//!    the sums are deterministic, and bit-identical across tile grids for
-//!    exactly-representable values.
+//!    the merge order is a function of the inputs and the grid.  A grid
+//!    that splits `k` adds whole partial sums, which regroups the
+//!    additions: the tiled product matches the resident one bit for bit
+//!    only when every sum is exact (unit values, say), and to rounding
+//!    otherwise.
 //! 4. **Spill** — tiles live in a [`TileStore`] governed by a byte budget
 //!    ([`OOC_BUDGET_ENV`] / [`TiledConfig`] setter).  When an insert would
 //!    exceed the budget, least-recently-used tiles are serialised (PBSM v2,
@@ -54,12 +57,11 @@ use pb_sparse::ops::mask_by_pattern;
 use pb_sparse::{Csr, Index, Scalar, Semiring, SparseError};
 use rayon::prelude::*;
 
-use crate::bins::{BinLayout, BinnedTuples, Entry};
+use crate::bins::{carve, BinLayout, BinnedTuples, Entry};
 use crate::engine::SpGemm;
 use crate::error::PbError;
 use crate::profile::{PhaseStats, StatsCollector};
 use crate::simd::Isa;
-use crate::topology::balanced_boundaries;
 use crate::trace::{self, SpanName};
 use crate::{assemble, compress, sort};
 
@@ -478,6 +480,41 @@ fn boundaries<TA: Scalar, TB: Scalar>(
     )
 }
 
+/// Splits `weights.len()` items into `parts` contiguous ranges of roughly
+/// equal total weight; returns the `parts + 1` cumulative item boundaries
+/// (first 0, last `weights.len()`).
+///
+/// Greedy scan: a boundary is placed once the running weight reaches the
+/// ideal share, which bounds every range's weight by the ideal share plus
+/// one item's weight.
+fn balanced_boundaries(weights: &[u64], parts: usize) -> Vec<usize> {
+    let parts = parts.max(1);
+    let n = weights.len();
+    let total: u64 = weights.iter().sum();
+    let mut bounds = Vec::with_capacity(parts + 1);
+    bounds.push(0usize);
+    let mut acc = 0u64;
+    let mut placed = 1usize; // boundaries placed so far, including the 0
+    for (i, &w) in weights.iter().enumerate() {
+        // Remaining parts must each get at least the chance of one item.
+        let target = (total * placed as u64).div_ceil(parts as u64);
+        if placed < parts && acc >= target && i > *bounds.last().unwrap() {
+            bounds.push(i);
+            placed += 1;
+        }
+        acc += w;
+    }
+    while bounds.len() < parts {
+        // Degenerate tails (fewer items than parts, or all weight up
+        // front): pad with empty ranges at the end.
+        bounds.push(n);
+    }
+    bounds.push(n);
+    debug_assert_eq!(bounds.len(), parts + 1);
+    debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+    bounds
+}
+
 /// Derives a grid from the budget when none was forced: the smallest split
 /// count `s` (same along all three dimensions) for which roughly four
 /// average-sized input tiles fit the budget, clamped to `[1, MAX_SPLITS]`
@@ -558,14 +595,7 @@ fn accumulate_partials<S: Semiring>(
         val: S::zero(),
     };
     let mut entries = vec![zero; total];
-    let mut bins: Vec<&mut [Entry<S::Elem>]> = Vec::with_capacity(nbins);
-    let mut rest = entries.as_mut_slice();
-    for b in 0..nbins {
-        let (seg, r) = rest.split_at_mut(bin_offsets[b + 1] - bin_offsets[b]);
-        bins.push(seg);
-        rest = r;
-    }
-    let compressed_len: Vec<usize> = bins
+    let compressed_len: Vec<usize> = carve(&mut entries, &bin_offsets)
         .into_par_iter()
         .enumerate()
         .map(|(b, seg)| {
@@ -735,10 +765,6 @@ where
                 report.stats.huge_page_bytes += profile.stats.huge_page_bytes;
                 report.stats.flushes += profile.stats.flushes;
                 report.stats.flushed_tuples += profile.stats.flushed_tuples;
-                report.stats.local_flushes += profile.stats.local_flushes;
-                report.stats.local_flushed_tuples += profile.stats.local_flushed_tuples;
-                report.stats.remote_flushes += profile.stats.remote_flushes;
-                report.stats.remote_flushed_tuples += profile.stats.remote_flushed_tuples;
                 if c_part.nnz() > 0 {
                     partials.push(c_part);
                 }
@@ -1037,5 +1063,54 @@ mod tests {
             .unwrap();
         assert_eq!(tiled.colidx(), resident.colidx());
         assert_eq!(tiled.values(), resident.values());
+    }
+
+    #[test]
+    fn balanced_boundaries_split_even_weights_evenly() {
+        let w = vec![1u64; 8];
+        assert_eq!(balanced_boundaries(&w, 2), vec![0, 4, 8]);
+        assert_eq!(balanced_boundaries(&w, 4), vec![0, 2, 4, 6, 8]);
+        assert_eq!(balanced_boundaries(&w, 1), vec![0, 8]);
+    }
+
+    #[test]
+    fn balanced_boundaries_track_skewed_weights() {
+        // All the weight up front: the first range must stay narrow.
+        let w = vec![100u64, 1, 1, 1, 1, 1, 1, 1];
+        let b = balanced_boundaries(&w, 2);
+        assert_eq!(b.len(), 3);
+        assert_eq!(b[0], 0);
+        assert_eq!(*b.last().unwrap(), 8);
+        let first: u64 = w[b[0]..b[1]].iter().sum();
+        let second: u64 = w[b[1]..b[2]].iter().sum();
+        // The heavy item cannot be split, but nothing extra piles on top.
+        assert_eq!(first, 100);
+        assert_eq!(second, 7);
+    }
+
+    #[test]
+    fn balanced_boundaries_degenerate_inputs() {
+        assert_eq!(balanced_boundaries(&[], 3), vec![0, 0, 0, 0]);
+        assert_eq!(balanced_boundaries(&[5], 3), vec![0, 1, 1, 1]);
+        assert_eq!(balanced_boundaries(&[0, 0, 0], 2), vec![0, 1, 3]);
+        // parts = 0 clamps to one range.
+        assert_eq!(balanced_boundaries(&[1, 2], 0), vec![0, 2]);
+    }
+
+    #[test]
+    fn balanced_boundaries_cover_every_item_exactly_once() {
+        let w: Vec<u64> = (0..97).map(|i| (i * 37 % 19) as u64).collect();
+        for parts in [1usize, 2, 3, 5, 8] {
+            let b = balanced_boundaries(&w, parts);
+            assert_eq!(b.len(), parts + 1);
+            assert_eq!(b[0], 0);
+            assert_eq!(*b.last().unwrap(), w.len());
+            assert!(b.windows(2).all(|x| x[0] <= x[1]));
+            let covered: u64 = b
+                .windows(2)
+                .map(|x| w[x[0]..x[1]].iter().sum::<u64>())
+                .sum();
+            assert_eq!(covered, w.iter().sum::<u64>());
+        }
     }
 }

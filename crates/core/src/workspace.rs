@@ -1,4 +1,4 @@
-//! Persistent, NUMA-aware workspace for repeated multiplies.
+//! Persistent workspace for repeated multiplies.
 //!
 //! PB-SpGEMM is bandwidth-bound, and its flagship applications — Markov
 //! clustering's repeated `M·M` iterations, masked graph kernels, any service
@@ -16,7 +16,7 @@
 //! | buffer | phase | size | notes |
 //! |---|---|---|---|
 //! | tuple buffer | expand | `flop` entries | becomes [`BinnedTuples::entries`] |
-//! | sort scratch | sort | `flop + (domains−1)·max_bin` entries | per-domain slabs, see below |
+//! | sort scratch | sort | `flop` entries | carved at the bin offsets, see below |
 //! | bin offsets | expand | `nbins + 1` words | becomes [`BinnedTuples::bin_offsets`] |
 //! | compressed lengths | expand | `nbins` words | becomes [`BinnedTuples::compressed_len`] |
 //! | row counts | assemble | `nrows` words | pass-1 staging, recycled after the prefix sum |
@@ -32,7 +32,7 @@
 //!
 //! | buffer | advised | where |
 //! |---|---|---|
-//! | tuple buffer | when it grows; **not** on a multi-domain run | [`WorkspaceLease::take_entries_uninit`] |
+//! | tuple buffer | when it grows | [`WorkspaceLease::take_entries_uninit`] |
 //! | CSR `colidx`/`values` | every multiply (they leave with the product) | [`assemble`](crate::assemble) |
 //! | sort scratch | never: pooled only, so its first touch and free are paid once | — |
 //! | bin/row staging | never: far below the floor | — |
@@ -43,11 +43,6 @@
 //! * **Floor.**  Ranges under 8 MiB stay on 4 KiB pages, and only the
 //!   2 MiB-aligned interior of a buffer is advised, so small multiplies —
 //!   the serve path's and the tiled path's — run exactly as before.
-//! * **NUMA exception.**  On a multi-domain run the tuple buffer keeps
-//!   4 KiB pages: its (bin, domain) sub-segments are about `L2 / domains`
-//!   long, far below one 2 MiB page, so a huge page would mix domains and
-//!   undo the expand phase's first-touch locality (the rule lives in
-//!   [`expand`](crate::expand)).
 //! * **Host modes.**  `/sys/kernel/mm/transparent_hugepage/enabled` stays
 //!   the only control: `madvise` honours the advice, `always` gives huge
 //!   pages without it, and `never` turns it off host-wide.  With
@@ -59,26 +54,19 @@
 //!   [`PhaseStats::huge_page_bytes`](crate::profile::PhaseStats::huge_page_bytes);
 //!   a recycled buffer keeps its earlier advice and is not counted again.
 //!
-//! # NUMA-aware sort scratch
+//! # Sort scratch
 //!
-//! The sort phase claims whole bins freely (a bin's buffer interleaves
-//! every domain's sub-segments, so no bin→domain assignment could make the
-//! *data* reads local — see [`crate::sort`]), but the LSD radix sort's
-//! scratch stream is under our control: the workspace carves the scratch
-//! buffer into one slab per NUMA domain, first-touched (zero-initialised)
-//! by workers of the owning domain via
-//! [`with_domain_boundaries`](rayon::ParIter::with_domain_boundaries), and
-//! a worker sorting a bin leases its scratch from *its own domain's* slab
-//! through a per-slab bump cursor.  On a real NUMA host half of the sort
-//! phase's memory streams (the scratch reads and writes) therefore stay
-//! socket-local — closing the "domain-aware first-touch for sort scratch"
-//! item the expand-phase partitioning (PR 4) left open.
+//! The LSD radix sort ping-pongs each bin between its segment of the tuple
+//! buffer and a scratch range of the same length.  The pooled scratch is
+//! carved at the bins' own offsets, as the tuple buffer is: bin `b` sorts
+//! into `scratch[off[b]..off[b + 1]]`.  The ranges are disjoint by
+//! construction and every bin has one, whichever worker sorts it, so a
+//! `flop`-entry scratch always suffices.
 //!
-//! The slabs share a margin of `max_bin` entries for every domain but one
-//! on top of the flop, which guarantees a lease can never fail in *every*
-//! slab (see [`scratch_target_len`]), so the spill chain own-slab → other
-//! slabs terminates without heap fallback in steady state; a heap fallback
-//! path still exists for safety and is *counted* when it fires.
+//! A multiply without a workspace keeps a per-bin heap scratch instead
+//! (see [`crate::sort`]): zero-filling a flop-sized buffer up front pays
+//! only when the buffer is reused, and on a throwaway buffer it would
+//! roughly double the sort phase's memory traffic.
 //!
 //! # Concurrency
 //!
@@ -120,7 +108,7 @@
 
 use std::any::Any;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rayon::prelude::*;
@@ -494,24 +482,23 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
     /// Whether this lease is backed by a [`Workspace`] (buffers persist
     /// across multiplies).  Fresh and bypass leases return `false`; the
     /// pipeline uses this to skip amortised-only work — notably the
-    /// upfront zero-fill of the NUMA-slabbed sort scratch, which would be
-    /// pure overhead on buffers that die with this one multiply.
+    /// upfront zero-fill of the pooled sort scratch, which would be pure
+    /// overhead on buffers that die with this one multiply.
     pub fn is_pooled(&self) -> bool {
         self.origin.is_some()
     }
 
     /// The expand phase's uninitialised global tuple buffer: length 0,
     /// capacity at least `flop` entries (recycled when the high-water mark
-    /// allows, freshly allocated — and counted — otherwise).  With
-    /// `huge_pages`, a freshly allocated buffer is advised `MADV_HUGEPAGE`
-    /// first (see the module docs).
+    /// allows, freshly allocated — and counted — otherwise).  A freshly
+    /// allocated buffer is advised `MADV_HUGEPAGE` first (see the module
+    /// docs).
     pub fn take_entries_uninit(
         &mut self,
         flop: usize,
-        huge_pages: bool,
         stats: &StatsCollector,
     ) -> Vec<MaybeUninit<Entry<V>>> {
-        let v = self.take_entries_vec(flop, huge_pages, stats);
+        let v = self.take_entries_vec(flop, stats);
         debug_assert!(v.is_empty());
         // SAFETY: `Entry<V>` and `MaybeUninit<Entry<V>>` have identical
         // layout, and the vector is empty, so no element is reinterpreted.
@@ -528,12 +515,7 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
     /// The tuple buffer as a plain (empty, pre-reserved) vector: the
     /// recycling and accounting behind
     /// [`WorkspaceLease::take_entries_uninit`].
-    fn take_entries_vec(
-        &mut self,
-        flop: usize,
-        huge_pages: bool,
-        stats: &StatsCollector,
-    ) -> Vec<Entry<V>> {
+    fn take_entries_vec(&mut self, flop: usize, stats: &StatsCollector) -> Vec<Entry<V>> {
         let mut v = std::mem::take(&mut self.pool.entries);
         v.clear();
         let bytes = (flop * std::mem::size_of::<Entry<V>>()) as u64;
@@ -550,9 +532,7 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
             // Growing would memcpy nothing (the vector is empty) but still
             // re-allocates the whole buffer: count it all as allocated.
             v = Vec::with_capacity(flop);
-            if huge_pages {
-                stats.record_huge_pages(advise_capacity(&v));
-            }
+            stats.record_huge_pages(advise_capacity(&v));
             self.record(
                 stats,
                 Acquire {
@@ -599,52 +579,39 @@ impl<V: Copy + Send + Sync + 'static> WorkspaceLease<V> {
         self.pool.row_counts = counts;
     }
 
-    /// Ensures the sort scratch holds at least `target_len` initialised
-    /// entries, zero-filling any newly allocated memory with `zero` from the
-    /// workers of the owning NUMA domain (`with_domain_boundaries`), so the
-    /// slab pages are first-touched domain-locally.  `target_len == 0`
-    /// (sorts that need no scratch) is a no-op that reports no traffic.
+    /// The sort scratch: `len` initialised entries, recycled when the pooled
+    /// scratch is long enough and otherwise allocated anew and zero-filled
+    /// with `zero` in parallel (counted).  The sort phase carves it at the
+    /// bin offsets (see the module docs).  `len == 0` (sorts that need no
+    /// scratch) reports no traffic.
     pub fn prepare_scratch(
         &mut self,
-        target_len: usize,
-        domains: usize,
+        len: usize,
         zero: Entry<V>,
         stats: &StatsCollector,
-    ) {
-        if target_len == 0 {
-            return;
-        }
-        self.scratch_used = self.scratch_used.max(target_len);
-        let bytes = (target_len * std::mem::size_of::<Entry<V>>()) as u64;
-        if self.pool.scratch.len() >= target_len {
-            self.record(
-                stats,
+    ) -> &mut [Entry<V>] {
+        if len > 0 {
+            self.scratch_used = self.scratch_used.max(len);
+            let bytes = (len * std::mem::size_of::<Entry<V>>()) as u64;
+            let acquire = if self.pool.scratch.len() >= len {
                 Acquire {
                     allocated: 0,
                     reused: bytes,
                     hit: true,
-                },
-            );
-            return;
+                }
+            } else {
+                // Growing in place would memcpy the stale prefix for
+                // nothing; allocate anew instead.
+                self.pool.scratch = alloc_scratch(len, zero);
+                Acquire {
+                    allocated: bytes,
+                    reused: 0,
+                    hit: false,
+                }
+            };
+            self.record(stats, acquire);
         }
-        // Growing in place would memcpy the old prefix onto freshly-touched
-        // pages from the *calling* thread, defeating the per-domain
-        // first-touch; allocate anew and initialise domain-routed instead.
-        self.pool.scratch = alloc_scratch_first_touch(target_len, domains, zero);
-        self.record(
-            stats,
-            Acquire {
-                allocated: bytes,
-                reused: 0,
-                hit: false,
-            },
-        );
-    }
-
-    /// The per-domain bump slabs over the prepared scratch, for one sort
-    /// phase.  Call [`WorkspaceLease::prepare_scratch`] first.
-    pub fn scratch_slabs(&mut self, domains: usize) -> ScratchSlabs<'_, V> {
-        ScratchSlabs::new(&mut self.pool.scratch, domains)
+        &mut self.pool.scratch[..len]
     }
 
     /// Returns every buffer the pipeline threaded through [`BinnedTuples`]
@@ -703,49 +670,23 @@ fn fill_usize(v: &mut Vec<usize>, needed: usize) -> Acquire {
     }
 }
 
-/// Scratch length that guarantees allocation-free sort-phase leases: the
-/// flop plus one `max_bin` margin for every slab but one.
-///
-/// The margin makes the spill chain total: suppose a lease of `n ≤ max_bin`
-/// entries failed in every slab.  Each slab's unusable remainder is then
-/// `< n`, so the reserved total exceeds `flop + (domains−1)·max_bin −
-/// domains·n`, and adding the failed lease gives more than
-/// `flop + (domains−1)·(max_bin − n) ≥ flop` — but every bin is leased at
-/// most once and the bins sum to the flop, a contradiction.  One domain
-/// needs no margin: its single slab holds every bin.
-pub fn scratch_target_len(flop: usize, domains: usize, max_bin: usize) -> usize {
-    flop + (domains.max(1) - 1) * max_bin
-}
-
-/// Even cumulative slab boundaries of `len` scratch entries over `domains`
-/// (`domains + 1` values from 0 to `len`).
-fn slab_boundaries(len: usize, domains: usize) -> Vec<usize> {
-    let domains = domains.max(1);
-    (0..=domains).map(|d| len * d / domains).collect()
-}
-
-/// `*mut` wrapper so disjoint ranges of one buffer can be written from the
+/// `*mut` wrapper so disjoint slots of one buffer can be written from the
 /// pool's threads (same discipline as the expand phase's `SharedBuf`).
 struct SharedMut<T>(*mut T);
+// SAFETY: the wrapper only carries the pointer to the pool's threads, and
+// every write through it goes to a slot no other thread touches (see
+// `alloc_scratch`); `T: Send` lets the written values cross threads.
 unsafe impl<T: Send> Send for SharedMut<T> {}
 unsafe impl<T: Send> Sync for SharedMut<T> {}
 
-/// Allocates `len` scratch entries and zero-initialises each domain's slab
-/// from that domain's own pool workers (first touch = domain-local pages on
-/// a first-touch NUMA policy).  Falls back to a plain parallel fill on
-/// single-domain pools.
-fn alloc_scratch_first_touch<V: Copy + Send + Sync>(
-    len: usize,
-    domains: usize,
-    zero: Entry<V>,
-) -> Vec<Entry<V>> {
+/// Allocates `len` scratch entries and zero-initialises them in parallel.
+fn alloc_scratch<V: Copy + Send + Sync>(len: usize, zero: Entry<V>) -> Vec<Entry<V>> {
     let mut raw: Vec<MaybeUninit<Entry<V>>> = Vec::with_capacity(len);
     // SAFETY: MaybeUninit slots require no initialisation.
     unsafe { raw.set_len(len) };
-    let bounds = slab_boundaries(len, domains);
     {
         let ptr = SharedMut(raw.as_mut_ptr());
-        let fill = |i: usize| {
+        (0..len).into_par_iter().for_each(|i| {
             // Capture the Sync wrapper, not the bare pointer field (edition
             // 2021 disjoint capture would otherwise grab the non-Sync
             // `*mut` directly).
@@ -754,107 +695,13 @@ fn alloc_scratch_first_touch<V: Copy + Send + Sync>(
             // parallel iterator hands each index to one closure call — and
             // the buffer outlives the loop.
             unsafe { (*base.0.add(i)).write(zero) };
-        };
-        if domains > 1 {
-            (0..len)
-                .into_par_iter()
-                .with_domain_boundaries(bounds)
-                .for_each(fill);
-        } else {
-            (0..len).into_par_iter().for_each(fill);
-        }
+        });
     }
     // SAFETY: all `len` slots were initialised above; `MaybeUninit<Entry<V>>`
     // and `Entry<V>` have identical layout.
     unsafe {
         let mut raw = std::mem::ManuallyDrop::new(raw);
         Vec::from_raw_parts(raw.as_mut_ptr() as *mut Entry<V>, len, raw.capacity())
-    }
-}
-
-/// Per-domain bump-allocated scratch slabs for one sort phase.
-///
-/// A worker sorting a bin leases exactly the bin's length, preferentially
-/// from its own domain's slab (keeping the scratch stream socket-local),
-/// spilling to the other slabs only when its own is full; the margin built
-/// into [`scratch_target_len`] guarantees the spill chain succeeds, and a
-/// heap fallback (counted into the stats by the caller) backs even that.
-pub struct ScratchSlabs<'a, V> {
-    base: SharedMut<Entry<V>>,
-    /// Cumulative slab boundaries (`slabs + 1` entries).
-    bounds: Vec<usize>,
-    /// Next free offset inside each slab.
-    cursors: Vec<AtomicUsize>,
-    _buf: std::marker::PhantomData<&'a mut [Entry<V>]>,
-}
-
-impl<V> std::fmt::Debug for ScratchSlabs<'_, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScratchSlabs")
-            .field("bounds", &self.bounds)
-            .finish()
-    }
-}
-
-// SAFETY: leases hand out disjoint ranges (CAS-reserved), so concurrent
-// workers never alias; `Entry<V>` is Send when V is.
-unsafe impl<V: Send> Send for ScratchSlabs<'_, V> {}
-unsafe impl<V: Send> Sync for ScratchSlabs<'_, V> {}
-
-impl<'a, V: Copy + Send> ScratchSlabs<'a, V> {
-    fn new(scratch: &'a mut [Entry<V>], domains: usize) -> Self {
-        let bounds = slab_boundaries(scratch.len(), domains);
-        let cursors = bounds[..bounds.len() - 1]
-            .iter()
-            .map(|&b| AtomicUsize::new(b))
-            .collect();
-        ScratchSlabs {
-            base: SharedMut(scratch.as_mut_ptr()),
-            bounds,
-            cursors,
-            _buf: std::marker::PhantomData,
-        }
-    }
-
-    /// Leases `n` initialised scratch entries, trying the calling worker's
-    /// own domain slab first.  `None` only when every slab lacks a
-    /// contiguous `n`-entry run (impossible under [`scratch_target_len`]
-    /// sizing; the caller then falls back to the heap and counts it).
-    pub fn lease(&self, n: usize) -> Option<&'a mut [Entry<V>]> {
-        let slabs = self.cursors.len();
-        if n == 0 || slabs == 0 {
-            return None;
-        }
-        let own = rayon::current_domain().min(slabs - 1);
-        for k in 0..slabs {
-            let s = (own + k) % slabs;
-            let end = self.bounds[s + 1];
-            let cursor = &self.cursors[s];
-            let mut cur = cursor.load(Ordering::Relaxed);
-            loop {
-                if cur + n > end {
-                    break;
-                }
-                match cursor.compare_exchange_weak(
-                    cur,
-                    cur + n,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: [cur, cur + n) was reserved by the CAS, is
-                        // inside the slab (cur + n <= end <= len), and every
-                        // entry was initialised at allocation; disjointness
-                        // of reservations makes the &mut exclusive.
-                        return Some(unsafe {
-                            std::slice::from_raw_parts_mut(self.base.0.add(cur), n)
-                        });
-                    }
-                    Err(seen) => cur = seen,
-                }
-            }
-        }
-        None
     }
 }
 
@@ -873,9 +720,9 @@ mod tests {
 
         // First multiply: everything allocates.
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let entries = lease.take_entries_vec(1000, true, &stats);
+        let entries = lease.take_entries_vec(1000, &stats);
         assert!(entries.capacity() >= 1000);
-        lease.prepare_scratch(500, 2, zero(), &stats);
+        lease.prepare_scratch(500, zero(), &stats);
         let offsets = lease.take_bin_offsets(&[0, 10, 20], &stats);
         let lens = lease.take_compressed_len([10usize, 10].into_iter(), &stats);
         let counts = lease.take_row_counts(64, &stats);
@@ -898,8 +745,8 @@ mod tests {
         // Second multiply of the same sizes: zero allocation, all hits.
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let entries = lease.take_entries_vec(1000, true, &stats);
-        lease.prepare_scratch(500, 2, zero(), &stats);
+        let entries = lease.take_entries_vec(1000, &stats);
+        lease.prepare_scratch(500, zero(), &stats);
         let offsets = lease.take_bin_offsets(&[0, 10, 20], &stats);
         let lens = lease.take_compressed_len([10usize, 10].into_iter(), &stats);
         let counts = lease.take_row_counts(64, &stats);
@@ -942,7 +789,7 @@ mod tests {
         let ws = Arc::new(Workspace::new());
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let v = lease.take_entries_vec(100, true, &stats);
+        let v = lease.take_entries_vec(100, &stats);
         let tuples = BinnedTuples {
             entries: v,
             bin_offsets: Vec::new(),
@@ -954,7 +801,7 @@ mod tests {
         // A bool-valued multiply cannot reuse f64 buffers: it rebuilds.
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<bool>::acquire(Some(ws.clone()));
-        let v = lease.take_entries_vec(100, true, &stats);
+        let v = lease.take_entries_vec(100, &stats);
         assert!(v.capacity() >= 100);
         let s = stats.snapshot();
         assert!(s.bytes_allocated > 0);
@@ -965,7 +812,7 @@ mod tests {
     fn missing_workspace_is_a_pure_fresh_path() {
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(None);
-        let v = lease.take_entries_vec(256, true, &stats);
+        let v = lease.take_entries_vec(256, &stats);
         assert!(v.capacity() >= 256);
         let s = stats.snapshot();
         assert_eq!(s.bytes_reused, 0);
@@ -973,80 +820,15 @@ mod tests {
         assert_eq!(s.workspace_hits, 0);
     }
 
-    #[test]
-    fn scratch_slabs_lease_disjoint_ranges_and_spill() {
-        let stats = StatsCollector::new();
-        let mut lease = WorkspaceLease::<f64>::acquire(None);
-        // 100 entries over 2 slabs of 50.
-        lease.prepare_scratch(100, 2, zero(), &stats);
-        let slabs = lease.scratch_slabs(2);
-        let a = slabs.lease(40).expect("fits in slab 0");
-        let b = slabs.lease(40).expect("spills to slab 1");
-        let c = slabs.lease(10).expect("remainder of slab 0");
-        assert_eq!((a.len(), b.len(), c.len()), (40, 40, 10));
-        // Writing through the leases must not alias.
-        a.iter_mut().for_each(|e| e.key = 1);
-        b.iter_mut().for_each(|e| e.key = 2);
-        c.iter_mut().for_each(|e| e.key = 3);
-        assert!(a.iter().all(|e| e.key == 1));
-        assert!(b.iter().all(|e| e.key == 2));
-        assert!(c.iter().all(|e| e.key == 3));
-        // 90 + 40 leased; no contiguous 30 remains anywhere.
-        assert!(slabs.lease(30).is_none(), "exhausted slabs refuse");
-        assert!(slabs.lease(5).is_some(), "but small leases still fit");
-    }
-
-    #[test]
-    fn scratch_margin_guarantees_worst_case_bins() {
-        // Every order of leasing the bins must fit, whatever slab each
-        // lease starts from: bins of 100/500/400 with max_bin = 500.
-        let (flop, bins) = (1000usize, [100usize, 500, 400]);
-        let orders = [
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        for domains in [1usize, 2, 3, 4] {
-            let target = scratch_target_len(flop, domains, 500);
-            assert_eq!(target, flop + (domains - 1) * 500);
-            for order in orders {
-                let stats = StatsCollector::new();
-                let mut lease = WorkspaceLease::<f64>::acquire(None);
-                lease.prepare_scratch(target, domains, zero(), &stats);
-                let slabs = lease.scratch_slabs(domains);
-                for b in order {
-                    assert!(slabs.lease(bins[b]).is_some(), "{domains} slabs, {order:?}");
-                }
-            }
-        }
-        // One giant bin (nbins = 1) fits even when split over 4 slabs.
-        let target = scratch_target_len(flop, 4, flop);
-        let stats = StatsCollector::new();
-        let mut lease = WorkspaceLease::<f64>::acquire(None);
-        lease.prepare_scratch(target, 4, zero(), &stats);
-        assert!(lease.scratch_slabs(4).lease(flop).is_some());
-    }
-
-    #[test]
-    fn slab_boundaries_cover_the_buffer() {
-        assert_eq!(slab_boundaries(100, 4), vec![0, 25, 50, 75, 100]);
-        assert_eq!(slab_boundaries(10, 3), vec![0, 3, 6, 10]);
-        assert_eq!(slab_boundaries(0, 2), vec![0, 0, 0]);
-        assert_eq!(slab_boundaries(7, 1), vec![0, 7]);
-    }
-
     /// Drives one synthetic multiply through the workspace: `flop` tuples
     /// in the expand buffer, `scratch` sort-scratch entries.
     fn synthetic_multiply(ws: &Arc<Workspace>, flop: usize, scratch: usize) -> crate::PhaseStats {
         let stats = StatsCollector::new();
         let mut lease = WorkspaceLease::<f64>::acquire(Some(ws.clone()));
-        let mut entries = lease.take_entries_vec(flop, true, &stats);
+        let mut entries = lease.take_entries_vec(flop, &stats);
         entries.resize(flop, zero());
         if scratch > 0 {
-            lease.prepare_scratch(scratch, 1, zero(), &stats);
+            lease.prepare_scratch(scratch, zero(), &stats);
         }
         let tuples = BinnedTuples {
             entries,

@@ -87,7 +87,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Builds the configuration from the environment, validating every
     /// `PB_*` knob the service depends on (including `PB_ALGORITHM`,
-    /// `PB_SIMD` and `PB_NUMA_DOMAINS` via [`pb_spgemm::validate_env`]) —
+    /// `PB_SIMD` and `PB_OOC_BUDGET_MB` via [`pb_spgemm::validate_env`]) —
     /// a typed error instead of a panic on any malformed value.
     pub fn from_env() -> Result<Self, PbError> {
         pb_spgemm::validate_env()?;

@@ -1,8 +1,8 @@
 //! # pb-serve — the resident PB-SpGEMM service
 //!
 //! The paper's bandwidth-optimisation machinery (propagation-blocked
-//! binning, NUMA routing, SIMD sort kernels, the regret-gated planner,
-//! zero-allocation workspaces) pays off most in a **long-lived process**,
+//! binning, SIMD sort kernels, the regret-gated planner, zero-allocation
+//! workspaces) pays off most in a **long-lived process**,
 //! where workspaces amortise and the planner calibrates to the host across
 //! requests instead of being rebuilt per invocation.  This crate is that
 //! process:

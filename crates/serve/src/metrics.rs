@@ -2,8 +2,8 @@
 //!
 //! Renders server counters, per-op request-latency histograms, catalog
 //! occupancy, aggregated workspace telemetry, the latest multiply's
-//! [`PhaseStats`](pb_spgemm::PhaseStats) (planner decision, ISA dispatch,
-//! NUMA routing) and planner progress in the conventional text exposition
+//! [`PhaseStats`](pb_spgemm::PhaseStats) (planner decision, ISA dispatch)
+//! and planner progress in the conventional text exposition
 //! format: every family is announced with `# HELP` and `# TYPE` lines,
 //! label values are escaped per the format's rules, and histograms emit
 //! cumulative `_bucket{le=…}` series plus `_sum`/`_count`.  The `metrics`
@@ -344,12 +344,6 @@ pub fn render(counters: &ServerCounters, latencies: &OpLatencies, catalog: &Cata
             "pb_spgemm_last_flop",
             "Useful flops of the latest multiply.",
             profile.flop,
-        );
-        gauge(
-            &mut out,
-            "pb_spgemm_last_numa_domains",
-            "NUMA domains the latest multiply routed across.",
-            profile.stats.numa_domains as u64,
         );
         gauge(
             &mut out,

@@ -147,12 +147,12 @@ fn auto_tuned_config_is_race_free_and_correct_under_threads() {
     }
 }
 
+// Named after the deleted NUMA partition; the name stays so test histories line up.
 #[test]
 fn domain_partitioned_multiplies_are_bit_identical_to_single_domain() {
-    // NUMA-domain partitioning only changes *where* expanded tuples are
-    // buffered; the logical bins (and therefore the sorted, compressed,
-    // assembled product) must be identical.  Unit values make the
-    // comparison exact down to the last bit.
+    // Every pool must assemble the one-thread product, with default and
+    // tiny local bins alike.  Unit values make the comparison exact down
+    // to the last bit.
     let inputs = [
         ("rmat", unit_valued(&rmat_square(9, 8, 43))),
         ("er", unit_valued(&erdos_renyi_square(9, 6, 47))),
@@ -160,115 +160,92 @@ fn domain_partitioned_multiplies_are_bit_identical_to_single_domain() {
     for (name, a) in &inputs {
         let expected = reference_multiply(a, a);
         let a_csc = a.to_csc();
-        for &t in &[2usize, 4] {
-            let single = multiply(
-                &a_csc,
-                a,
-                &PbConfig::default().with_threads(t).with_numa_domains(1),
-            );
-            assert_csr_exact(&single, &expected, &format!("{name}/threads={t}/domains=1"));
-            for &domains in &[2usize, 4] {
-                let cfg = PbConfig::default()
-                    .with_threads(t)
-                    .with_numa_domains(domains)
-                    // Tiny local bins maximise flush frequency, and with it
-                    // the chance for any segment-routing race to surface.
-                    .with_local_bin_bytes(64);
-                let c = multiply(&a_csc, a, &cfg);
-                assert_csr_exact(
-                    &c,
-                    &single,
-                    &format!("{name}/threads={t}/domains={domains}"),
-                );
-            }
+        let single = multiply(&a_csc, a, &PbConfig::default().with_threads(1));
+        assert_csr_exact(&single, &expected, &format!("{name}/threads=1"));
+        for &t in &[2usize, 4, 8] {
+            let plain = multiply(&a_csc, a, &PbConfig::default().with_threads(t));
+            assert_csr_exact(&plain, &expected, &format!("{name}/threads={t}"));
+            let cfg = PbConfig::default()
+                .with_threads(t)
+                // Tiny local bins maximise flush frequency, and with it
+                // the chance for any reservation race to surface.
+                .with_local_bin_bytes(64);
+            let c = multiply(&a_csc, a, &cfg);
+            assert_csr_exact(&c, &single, &format!("{name}/threads={t}/64B bins"));
         }
     }
 }
 
+// Named after the deleted NUMA partition; the name stays so test histories line up.
 #[test]
 fn domain_partitioned_real_values_are_exact_without_collisions_and_close_with() {
     // A permutation matrix with random weights: every output entry is a
-    // single product, so no semiring add ever reorders and the
-    // domain-partitioned product must equal the single-domain one
-    // bit-for-bit even with real values.
+    // single product, so no semiring add ever reorders and every pool's
+    // product must equal the one-thread one bit-for-bit even with real
+    // values.
     let n = 512usize;
     let entries: Vec<(usize, usize, f64)> = (0..n)
         .map(|i| (i, (i * 331) % n, 0.5 + (i as f64) * 0.125))
         .collect();
     let perm = Coo::from_entries(n, n, entries).unwrap().to_csr();
     let perm_csc = perm.to_csc();
-    let base = PbConfig::default()
-        .with_threads(4)
-        .with_nbins(8)
-        .with_local_bin_bytes(64);
-    let single = multiply(&perm_csc, &perm, &base.clone().with_numa_domains(1));
-    let parted = multiply(&perm_csc, &perm, &base.clone().with_numa_domains(2));
-    assert_csr_exact(&parted, &single, "collision-free real values");
+    let base = PbConfig::default().with_nbins(8).with_local_bin_bytes(64);
+    let single = multiply(&perm_csc, &perm, &base.clone().with_threads(1));
     assert_csr_exact(
-        &parted,
+        &single,
         &reference_multiply(&perm, &perm),
         "collision-free vs reference",
     );
 
     // With duplicate (row, col) keys the accumulation order inside an
-    // equal-key run depends on flush interleaving — exactly as it already
-    // does between two runs of the *same* single-domain configuration — so
-    // real values compare with tolerance while the structure stays exact.
+    // equal-key run depends on flush interleaving on a multi-thread pool,
+    // so real values compare with tolerance there while the structure
+    // stays exact.  One thread folds in ascending k, as the reference does.
     let a = rmat_square(9, 8, 53);
     let a_csc = a.to_csc();
     let expected = reference_multiply(&a, &a);
-    let single = multiply(&a_csc, &a, &base.clone().with_numa_domains(1));
-    let parted = multiply(&a_csc, &a, &base.clone().with_numa_domains(2));
-    assert_eq!(parted.rowptr(), single.rowptr());
-    assert_eq!(parted.colidx(), single.colidx());
-    assert!(csr_approx_eq(&parted, &expected, 1e-9));
-}
-
-#[test]
-fn domain_partitioned_masked_multiply_is_bit_identical() {
-    // The masked pipeline shares the expand phase, so domain partitioning
-    // must leave it bit-identical too (unit values, mask = input pattern —
-    // the triangle-counting shape).
-    let a = unit_valued(&rmat_square(9, 6, 59));
-    let a_csc = a.to_csc();
+    let one = multiply(&a_csc, &a, &base.clone().with_threads(1));
+    assert_csr_exact(&one, &expected, "one thread vs reference");
     for &t in &[2usize, 4] {
-        let base = PbConfig::default().with_threads(t).with_local_bin_bytes(64);
-        let single = SpGemm::pb()
-            .config(base.clone().with_numa_domains(1))
-            .mask(&a)
-            .multiply_csc(&a_csc, &a);
-        let parted = SpGemm::pb()
-            .config(base.clone().with_numa_domains(2))
-            .mask(&a)
-            .multiply_csc(&a_csc, &a);
-        assert_csr_exact(&parted, &single, &format!("masked/threads={t}"));
+        let parted = multiply(&perm_csc, &perm, &base.clone().with_threads(t));
+        assert_csr_exact(&parted, &single, &format!("collision-free/threads={t}"));
+        let c = multiply(&a_csc, &a, &base.clone().with_threads(t));
+        assert_eq!(c.rowptr(), expected.rowptr(), "threads={t}");
+        assert_eq!(c.colidx(), expected.colidx(), "threads={t}");
+        assert!(csr_approx_eq(&c, &expected, 1e-9), "threads={t}");
     }
 }
 
-/// The ISSUE's forced-topology determinism hammer: PB_NUMA_DOMAINS=2-style
-/// partitioning (forced via the config override, which is exactly what the
-/// env variable sets up) on a 4-thread pool, repeated — the assembled CSR
-/// must never depend on flush interleaving or on which domain's worker
-/// stole whose block.  CI additionally re-runs this whole suite with
-/// PB_NUMA_DOMAINS=2 and PB_RAYON_THREADS=4 exported, covering the
-/// env-driven global-pool path.
+// Named after the deleted NUMA partition; the name stays so test histories line up.
+#[test]
+fn domain_partitioned_masked_multiply_is_bit_identical() {
+    // The masked pipeline shares the expand phase, so every pool must
+    // leave it bit-identical too (unit values, mask = input pattern — the
+    // triangle-counting shape).
+    let a = unit_valued(&rmat_square(9, 6, 59));
+    let a_csc = a.to_csc();
+    let masked = |cfg: PbConfig| SpGemm::pb().config(cfg).mask(&a).multiply_csc(&a_csc, &a);
+    let single = masked(PbConfig::default().with_threads(1));
+    for &t in &[2usize, 4, 8] {
+        let c = masked(PbConfig::default().with_threads(t).with_local_bin_bytes(64));
+        assert_csr_exact(&c, &single, &format!("masked/threads={t}"));
+    }
+}
+
+// Named after the deleted NUMA partition; the name stays so test histories line up.
 #[test]
 fn forced_two_domain_four_thread_runs_are_deterministic() {
+    // Repeated runs must never depend on flush interleaving or on which
+    // worker claimed which block.
     let a = unit_valued(&rmat_square(8, 10, 61));
     let a_csc = a.to_csc();
-    let cfg = PbConfig::default()
-        .with_threads(4)
-        .with_numa_domains(2)
-        .with_local_bin_bytes(64);
-    let first = multiply(&a_csc, &a, &cfg);
-    assert_csr_exact(
-        &first,
-        &reference_multiply(&a, &a),
-        "forced-domain hammer vs reference",
-    );
-    for round in 0..8 {
-        let again = multiply(&a_csc, &a, &cfg);
-        assert_csr_exact(&again, &first, &format!("forced-domain round {round}"));
+    let expected = reference_multiply(&a, &a);
+    for &t in &[2usize, 4] {
+        let cfg = PbConfig::default().with_threads(t).with_local_bin_bytes(64);
+        for round in 0..8 {
+            let c = multiply(&a_csc, &a, &cfg);
+            assert_csr_exact(&c, &expected, &format!("threads={t} round {round}"));
+        }
     }
 }
 

@@ -289,6 +289,90 @@ fn steady_state_batches_allocate_nothing() {
     server.join();
 }
 
+/// The shape of the `serve-churn` workload: two clients store fresh ER
+/// matrices into a catalog of about 16 of them and multiply two different
+/// names among their own four newest stores, so stores evict old entries
+/// beside the reads while every live operand stays resident.  Each product
+/// goes through a cold or reused entry workspace whose pooled sort scratch
+/// last served a product of a different flop, and must still match the
+/// reference bit for bit.
+#[test]
+fn churned_stores_and_cross_multiplies_match_the_reference() {
+    use pb_spgemm_suite::gen::erdos_renyi_square;
+    use pb_spgemm_suite::serve::catalog::matrix_bytes;
+    use pb_spgemm_suite::serve::fingerprint;
+    use pb_spgemm_suite::sparse::reference::multiply_csr;
+    use std::sync::{Arc, Barrier};
+
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 52;
+    let matrix = |seed: u64| erdos_renyi_square(9, 8, seed).map_values(|_| 1.0);
+    let server = Server::start(
+        ServeConfig::default()
+            .addr("127.0.0.1:0")
+            .workers(2)
+            .budget_bytes(16 * matrix_bytes(&matrix(0))),
+    )
+    .expect("bind in-process server");
+    let addr = server.addr();
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr);
+                let mut stored = Vec::new();
+                let store = |c: &mut Client, stored: &mut Vec<_>| {
+                    let name = format!("c{client}m{}", stored.len());
+                    let m = matrix((1000 * client + stored.len()) as u64 + 1);
+                    let r = c.call(&store_unit_line(&name, &m));
+                    assert!(ok(&r), "store {name}: {r:?}");
+                    stored.push((name, m));
+                };
+                for _ in 0..3 {
+                    store(&mut c, &mut stored);
+                }
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    store(&mut c, &mut stored);
+                    // Two different names among the four newest stores.
+                    let newest = stored.len() - 1;
+                    let x = round % 4;
+                    let y = (x + 1 + (round / 4) % 3) % 4;
+                    let (a_name, a) = &stored[newest - x];
+                    let (b_name, b) = &stored[newest - y];
+                    let r = c.call(&format!(
+                        r#"{{"op":"multiply","a":"{a_name}","b":"{b_name}"}}"#
+                    ));
+                    assert!(ok(&r), "round {round}, {a_name}·{b_name}: {r:?}");
+                    assert_eq!(
+                        u(&r, "fingerprint"),
+                        fingerprint(&multiply_csr(a, b)),
+                        "round {round}, {a_name}·{b_name}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    let metrics = Client::connect(addr).call(r#"{"op":"metrics"}"#);
+    let text = metrics
+        .get("text")
+        .and_then(serde::Value::as_str)
+        .expect("metrics text");
+    let evictions: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("pb_serve_catalog_evictions_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("eviction counter");
+    assert!(evictions > 0, "the stores never evicted: {text}");
+    assert!(text.contains("pb_serve_errors_total 0"), "{text}");
+    server.join();
+}
+
 #[test]
 fn per_request_algorithm_override_and_shutdown_op() {
     let server = start_server();

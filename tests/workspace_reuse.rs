@@ -1,5 +1,5 @@
 //! Workspace reuse across repeated multiplies: bit-exactness vs the
-//! fresh-allocation path under shape growth, shrinkage and NUMA-domain
+//! fresh-allocation path under shape growth, shrinkage and pool-size
 //! changes mid-stream, steady-state zero-allocation, concurrent sharing,
 //! and the masked pipeline.
 //!
@@ -95,30 +95,29 @@ fn same_shape_repeats_are_allocation_free_and_bit_exact() {
     assert_eq!(ws.bypasses(), 0);
 }
 
+// Named after the deleted NUMA partition; the name stays so test histories line up.
 #[test]
 fn grow_shrink_and_domain_changes_stay_bit_exact() {
-    // One workspace across growing, shrinking and re-partitioned
-    // multiplies: every product must equal the fresh-allocation product of
-    // the *same* configuration bit-for-bit.
+    // One workspace across growing, shrinking and re-pooled multiplies:
+    // every product must equal the fresh-allocation product of the *same*
+    // configuration bit-for-bit.
     let small = unit(erdos_renyi_square(7, 4, 71));
     let large = unit(rmat_square(9, 8, 72));
     let medium = unit(erdos_renyi_square(8, 6, 73));
     let ws = Arc::new(Workspace::new());
-    // (matrix, forced domain count): grow small -> large, shrink back,
-    // change the domain partition mid-stream (1 -> 2 -> 4 needs a 4-thread
-    // pool so resolve_domains does not clamp the partition away).
+    // (matrix, pool threads): grow small -> large, shrink back, and change
+    // the pool mid-stream, so bins sort into the pooled scratch on 1, 2
+    // and 4 threads.
     let schedule: Vec<(&Csr<f64>, usize, &str)> = vec![
         (&small, 1, "small/1"),
         (&large, 2, "grow to large/2"),
-        (&large, 4, "large again/4 domains"),
+        (&large, 4, "large again/4 threads"),
         (&medium, 2, "shrink to medium/2"),
         (&small, 4, "shrink to small/4"),
     ];
     for _ in 0..stress_factor() {
-        for (m, domains, what) in &schedule {
-            let cfg = PbConfig::default()
-                .with_threads(4)
-                .with_numa_domains(*domains);
+        for (m, threads, what) in &schedule {
+            let cfg = PbConfig::default().with_threads(*threads);
             let m_csc = m.to_csc();
             let fresh = multiply(&m_csc, m, &cfg);
             let reused = multiply_reusing(&m_csc, m, &cfg, &ws);
